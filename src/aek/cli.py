@@ -36,6 +36,7 @@ from .evolute import (
     discriminant_D,
     evolute_directions,
     pick_invariant,
+    regularity_rule,
     section_curvature_rate,
     solve_evolute_point,
     trace_evolute,
@@ -63,15 +64,11 @@ from .invariants import (
     transon_gradients,
     transon_plane,
 )
-from .midplanes import (
-    check_cubic_term,
-    check_quartic_term,
-    midplane_limit_probe,
-)
+from .midplanes import check_expansion_terms, midplane_limit_probe
 from .scalars import FLOAT, RATIONAL, coerce, format_scalar
 
 _SPEC_KEYS = {"coefficients", "patch", "mode", "grid", "tolerances"}
-_TOLERANCE_KEYS = {"root", "solve", "residual", "branch_angle", "simple"}
+_TOLERANCE_KEYS = {"root", "solve", "branch_angle"}
 
 #: JSON schema for the report envelope (validated in the test suite).
 REPORT_SCHEMA = {
@@ -154,10 +151,7 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     unknown = set(tol) - _TOLERANCE_KEYS
     if unknown:
         raise SpecFormatError(f"unknown tolerance keys: {sorted(unknown)}")
-    defaults = {
-        "root": 1e-9, "solve": 1e-7, "residual": 1e-10,
-        "branch_angle": 0.2, "simple": 1e-6,
-    }
+    defaults = {"root": 1e-9, "solve": 1e-7, "branch_angle": 0.2}
     defaults.update({k: float(v) for k, v in tol.items()})
     return SurfaceSpec(coeffs, patch, mode, grid, defaults, path)
 
@@ -335,8 +329,7 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     exact_ok = True
     for _ in range(20):
         fr = random_frame(rng, mode)
-        r3 = check_cubic_term(fr)
-        r4 = check_quartic_term(fr)
+        r3, r4 = check_expansion_terms(fr)
         worst3 = max(worst3, r3.max_abs_residual)
         worst4 = max(worst4, r4.max_abs_residual)
         exact_ok = exact_ok and r3.passed and r4.passed
@@ -472,17 +465,6 @@ def cmd_verify(spec: SurfaceSpec, point_text: str,
     return report, 0 if all_passed else 3
 
 
-def _regular_flag(sample, sol, rate_tol: float = 1e-6,
-                  mu_tol: float = 1e-9):
-    if sample.pick_rates is None:
-        return ""
-    finite = [r for r in sample.pick_rates if not math.isnan(r)]
-    rate_ok = any(abs(r) > rate_tol for r in finite)
-    ok = (sol.theta is not None and sol.simple_root
-          and abs(sol.mu_prime) > mu_tol and rate_ok)
-    return 1 if ok else 0
-
-
 def write_evolute_csv(path: str, trace, include_regular: bool) -> int:
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -495,8 +477,12 @@ def write_evolute_csv(path: str, trace, include_regular: bool) -> int:
                     continue
                 theta = "" if sol.theta is None else repr(float(sol.theta))
                 x, y, z = (repr(float(c)) for c in sol.center_world)
-                flag = _regular_flag(sample_by_index[bs.index], sol) \
-                    if include_regular else ""
+                flag = ""
+                if include_regular:
+                    _, _, regular = regularity_rule(
+                        sol.simple_root, sol.mu_prime,
+                        sample_by_index[bs.index].pick_rates)
+                    flag = int(regular)
                 fh.write(
                     f"{bs.point[0]!r},{bs.point[1]!r},{branch.branch_id},"
                     f"{theta},{x},{y},{z},{sol.d_value!r},{flag}\n"
@@ -542,7 +528,7 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
     n = grid if grid is not None else spec.grid
     if n < 1:
         raise SpecFormatError("grid must have at least one sample")
-    pick_dirs = {"off": 0, "fast": 2, "full": 8}[regularity]
+    pick_dirs = {"off": 0, "fast": 2}[regularity]
     trace = trace_evolute(
         surface, grid=(n, n),
         root_tol=spec.tolerances["root"],
@@ -589,7 +575,8 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
     succeeded = n_ok + n_degenerate
     code = 0 if succeeded > 0 else 2
     return render_report("evolute", spec, results,
-                         {"workers": workers, "regularity": regularity}), code
+                         {"workers": trace.workers,
+                          "regularity": regularity}), code
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=int, default=None)
             p.add_argument("--workers", type=int,
                            default=os.cpu_count() or 1)
-            p.add_argument("--regularity", choices=("off", "fast", "full"),
+            p.add_argument("--regularity", choices=("off", "fast"),
                            default="fast")
     return parser
 

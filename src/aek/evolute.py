@@ -13,7 +13,6 @@ patch, and evaluates the regularity diagnostics for a branch.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -28,11 +27,12 @@ from .errors import (
 from .frames import (
     BlaschkeFrame,
     SurfaceModel,
+    binary_form,
     normalize_at,
     pull_back,
     pull_back_direction,
-    rotate_to,
     to_float_frame,
+    turned_coefficients,
 )
 from .geometry import AtInfinity, angle_gap, as_direction
 from .invariants import moutard_center, transon_gradients
@@ -53,6 +53,8 @@ class DirectionSextic:
     q3_coeffs: tuple
     q4_coeffs: tuple
     mode: str
+    #: max(1, max(|a|, |b|)^2, max |f4|) of the frame the sextic came from
+    coeff_scale: float
 
     @property
     def q_coeffs(self) -> tuple:
@@ -60,10 +62,7 @@ class DirectionSextic:
                      zip(self.q3_coeffs, self.q4_coeffs))
 
     def evaluate(self, xi, eta):
-        total = 0
-        for k, c in enumerate(self.q_coeffs):
-            total = total + c * xi ** (6 - k) * eta ** k
-        return total
+        return binary_form(self.q_coeffs, xi, eta)
 
     def theta_value(self, theta: float) -> float:
         return float(self.evaluate(math.cos(theta), math.sin(theta)))
@@ -79,6 +78,19 @@ class DirectionSextic:
 
     def scale(self) -> float:
         return max((abs(float(c)) for c in self.q_coeffs), default=0.0)
+
+    def is_identically_zero(self) -> bool:
+        """Every direction is a root: the sextic is at round-off level
+        against the frame coefficients it is built from."""
+        return self.scale() <= 1e-12 * self.coeff_scale
+
+    def is_simple_root(self, theta: float, simple_tol: float = 1e-6) -> bool:
+        """A root direction is simple when |dq/dtheta| clears
+        ``simple_tol`` times the coefficient scale; no root of an
+        identically zero sextic is simple."""
+        return (not self.is_identically_zero()
+                and abs(self.theta_derivative(theta))
+                > simple_tol * self.scale())
 
 
 def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
@@ -102,7 +114,12 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
         2 * f22 - 4 * f04,
         f13,
     )
-    return DirectionSextic(q3, q4, frame.mode)
+    coeff_scale = max(
+        1.0,
+        max(abs(float(c)) for c in (a, b)) ** 2,
+        max(abs(float(c)) for c in frame.f4),
+    )
+    return DirectionSextic(q3, q4, frame.mode, coeff_scale)
 
 
 # Fixed sign convention: rows (G_xi, G_eta, form_u, form_v) with the
@@ -162,18 +179,12 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
     Roots of the dehomogenized polynomial in eta/xi come from the
     companion-matrix eigenvalues, the vertical direction is checked
     separately, and every root gets one round of angular Newton
-    polish.  A root is flagged simple when |dq/dtheta| clears
-    ``simple_tol`` times the coefficient scale.
+    polish.  Simplicity is :meth:`DirectionSextic.is_simple_root`.
     """
     sextic = direction_sextic(frame)
     q = [float(c) for c in sextic.q_coeffs]
-    scale = max((abs(c) for c in q), default=0.0)
-    coeff_scale = max(
-        1.0,
-        max(abs(float(c)) for c in (frame.a, frame.b)) ** 2,
-        max(abs(float(c)) for c in frame.f4),
-    )
-    if scale <= 1e-12 * coeff_scale:
+    scale = sextic.scale()
+    if sextic.is_identically_zero():
         return DirectionRoots(True, (), scale)
 
     thetas = []
@@ -212,7 +223,7 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
     roots = tuple(
         DirectionRoot(
             theta=th,
-            simple=abs(sextic.theta_derivative(th)) > simple_tol * scale,
+            simple=sextic.is_simple_root(th, simple_tol),
             q_value=sextic.theta_value(th),
             q_derivative=sextic.theta_derivative(th),
         )
@@ -241,7 +252,6 @@ class EvoluteSolution:
     simple_root: bool
     mu_prime: float
     moutard_gap: float | None
-    pick_rate: float | None = None
 
 
 def solve_evolute_point(frame: BlaschkeFrame, theta: float,
@@ -257,8 +267,7 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float,
     sextic = direction_sextic(fr)
     scale = max(sextic.scale(), 1e-300)
     qv = sextic.theta_value(theta)
-    identically_zero = sextic.scale() <= 1e-12
-    if not identically_zero and abs(qv) > tol * scale:
+    if not sextic.is_identically_zero() and abs(qv) > tol * scale:
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: |q|={abs(qv):.3e} "
             f"(scale {scale:.3e})"
@@ -277,11 +286,7 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float,
             best_det, best_drop = dval, drop
 
     d_value = float(det4(tuple((*cov, r) for cov, r in rows)))
-    droot = evolute_directions(fr)
-    simple = any(
-        r.simple and angle_gap(r.theta, theta % math.pi) < 1e-6
-        for r in droot.roots
-    )
+    simple = sextic.is_simple_root(theta)
     mu_prime = section_curvature_rate(fr, (xi, eta))
     mc = moutard_center(fr, (xi, eta))
 
@@ -351,12 +356,15 @@ def _cubic_phase_b(kappa: complex, reference_angle: float) -> float:
 
 
 def pick_derivative(surface: SurfaceModel, p0, direction_w,
-                    h: float = 1e-4) -> float:
+                    h: float = 1e-4,
+                    frame: BlaschkeFrame | None = None) -> float:
     """Directional derivative of the cubic-killing-frame coefficient b.
 
     Central finite difference along the chart line through p0; the
     killing rotation is continued between the two side evaluations so
-    the difference measures a derivative, not a frame jump.
+    the difference measures a derivative, not a frame jump.  ``frame``
+    is the frame already normalized at p0, if the caller has one; it
+    fixes the reference phase of the killing rotation.
     """
     wx, wy = (float(c) for c in direction_w)
     norm = math.hypot(wx, wy)
@@ -372,7 +380,7 @@ def pick_derivative(surface: SurfaceModel, p0, direction_w,
             raise PatchBoundsError(
                 f"stencil point {p} outside patch {surface.patch}"
             )
-    f0 = normalize_at(surface, p0)
+    f0 = normalize_at(surface, p0) if frame is None else frame
     kappa0 = complex(float(f0.a), float(f0.b))
     ref = cmath.phase(kappa0) if kappa0 != 0 else math.pi / 2
     fp = normalize_at(surface, pp)
@@ -386,15 +394,13 @@ def section_curvature_rate(frame: BlaschkeFrame, direction):
     """Arc-length derivative of the affine curvature of the section
     spanned by the direction and its cone ruling.
 
-    Uses the closed-form quintic section coefficients of the rotated
-    frame: a3 = 6a, a4 = 24(f40 - 9/2 b^2),
+    Uses the closed-form quintic section coefficients of the frame
+    turned onto the direction: a3 = 6a, a4 = 24(f40 - 9/2 b^2),
     a5 = 120(-27 a b^2 + 3 b f31 + f50).
     """
-    rot, _ = rotate_to(frame, direction)
-    a, b = rot.a, rot.b
-    f40, f31, f50 = rot.f4[0], rot.f4[1], rot.f50
+    (a, b, f40, f31, f50), _ = turned_coefficients(frame, direction)
     a3 = 6 * a
-    a4 = 24 * (f40 - coerce(9, rot.mode) * b * b / 2)
+    a4 = 24 * (f40 - coerce(9, frame.mode) * b * b / 2)
     a5 = 120 * (-27 * a * b * b + 3 * b * f31 + f50)
     return (9 * a5 + 40 * a3 ** 3 - 45 * a3 * a4) / 27
 
@@ -412,52 +418,66 @@ class RegularityReport:
     regular: bool
 
 
+def regularity_rule(simple_root: bool, mu_prime, pick_rates,
+                    rate_tol: float = 1e-6, mu_tol: float = 1e-9):
+    """The sufficient regularity condition at a branch point, as
+    (pick_rate_nonzero, mu_prime_nonzero, regular).
+
+    The Pick invariant is not critical (some finite directional b-rate
+    clears ``rate_tol``), the section curvature rate along T clears
+    ``mu_tol``, and the branch direction is a simple root.
+    """
+    rate_ok = any(abs(r) > rate_tol for r in pick_rates if not math.isnan(r))
+    mu_ok = abs(mu_prime) > mu_tol
+    return rate_ok, mu_ok, simple_root and rate_ok and mu_ok
+
+
+def _pick_rates(surface, p0, frame, directions: int, h: float) -> tuple:
+    """Pick rates along ``directions`` chart directions spread over
+    [0, pi); NaN where the stencil leaves the patch."""
+    rates = []
+    for k in range(directions):
+        ang = math.pi * k / directions
+        try:
+            rates.append(pick_derivative(
+                surface, p0, (math.cos(ang), math.sin(ang)), h, frame))
+        except PatchBoundsError:
+            rates.append(float("nan"))
+    return tuple(rates)
+
+
 def regularity_report(target, p0, theta: float,
                       directions: int = 8, h: float = 1e-4,
                       rate_tol: float = 1e-6,
                       mu_tol: float = 1e-9) -> RegularityReport:
-    """Check the sufficient regularity condition at a branch point:
-    the Pick invariant is not critical (some directional b-rate is
-    nonzero) and the section curvature rate along T is nonzero.
+    """Check the sufficient regularity condition of
+    :func:`regularity_rule` at a branch point.
 
     With a bare frame the pick-rate part cannot be sampled (it needs a
     neighborhood), so the sufficient condition counts as unverified and
     the point is not flagged regular.
     """
-    surface = None
+    rates = ()
     if isinstance(target, SurfaceModel):
         surface = target.to_float()
         frame = normalize_at(surface, p0)
+        rates = _pick_rates(surface, p0, frame, directions, h)
     else:
         frame = to_float_frame(target)
-    droots = evolute_directions(frame)
-    simple = any(
-        r.simple and angle_gap(r.theta, theta % math.pi) < 1e-6
-        for r in droots.roots
-    )
+    simple = direction_sextic(frame).is_simple_root(theta)
     mu_prime = float(section_curvature_rate(
         frame, (math.cos(theta), math.sin(theta))
     ))
-    rates = []
-    if surface is not None:
-        for k in range(directions):
-            ang = math.pi * k / directions
-            w = (math.cos(ang), math.sin(ang))
-            try:
-                rates.append(pick_derivative(surface, p0, w, h))
-            except PatchBoundsError:
-                rates.append(float("nan"))
-    finite = [r for r in rates if not math.isnan(r)]
-    rate_ok = any(abs(r) > rate_tol for r in finite)
-    mu_ok = abs(mu_prime) > mu_tol
+    rate_ok, mu_ok, regular = regularity_rule(
+        simple, mu_prime, rates, rate_tol, mu_tol)
     return RegularityReport(
         theta=theta,
         simple_root=simple,
         mu_prime=mu_prime,
-        pick_rates=tuple(rates),
+        pick_rates=rates,
         pick_rate_nonzero=rate_ok,
         mu_prime_nonzero=mu_ok,
-        regular=rate_ok and mu_ok,
+        regular=regular,
     )
 
 
@@ -500,20 +520,6 @@ class EvoluteBranch:
         by the matching threshold by construction."""
         return max(self.link_gaps, default=0.0)
 
-    @property
-    def max_angle_jump(self) -> float:
-        """Largest direction jump between grid-adjacent branch samples."""
-        by_index = {
-            s.index: s.solution.theta for s in self.samples
-            if s.solution.theta is not None
-        }
-        best = 0.0
-        for (i, j), th in by_index.items():
-            for nb in ((i + 1, j), (i, j + 1)):
-                if nb in by_index:
-                    best = max(best, angle_gap(th, by_index[nb]))
-        return best
-
 
 @dataclass
 class TraceResult:
@@ -521,6 +527,8 @@ class TraceResult:
     samples: list
     failures: list
     grid_shape: tuple
+    #: processes the samples ran on: the pool size, or 1 when serial
+    workers: int
 
 
 def compute_sample(surface: SurfaceModel, index, point,
@@ -532,7 +540,8 @@ def compute_sample(surface: SurfaceModel, index, point,
 
     With ``pick_directions`` > 0, the cubic-killing-frame rate of the
     Pick coefficient is sampled along that many chart directions for
-    the regularity diagnostics.
+    the regularity diagnostics.  The point is normalized and its roots
+    are found once; the stencil and every root reuse them.
     """
     try:
         frame = normalize_at(surface, point)
@@ -542,16 +551,8 @@ def compute_sample(surface: SurfaceModel, index, point,
         return SamplePoint(index, point, "error", message=str(exc))
     rates = None
     if pick_directions:
-        rates = []
-        for k in range(pick_directions):
-            ang = math.pi * k / pick_directions
-            try:
-                rates.append(pick_derivative(
-                    surface, point, (math.cos(ang), math.sin(ang)),
-                    h=pick_step))
-            except PatchBoundsError:
-                rates.append(float("nan"))
-        rates = tuple(rates)
+        rates = _pick_rates(surface, point, frame, pick_directions,
+                            pick_step)
     droots = evolute_directions(frame, tol=root_tol)
     if droots.identically_zero:
         mc = moutard_center(frame, (1.0, 0.0))
@@ -571,18 +572,12 @@ def compute_sample(surface: SurfaceModel, index, point,
                            pick_rates=rates)
     sols = []
     messages = []
-    rate = None
-    if rates:
-        finite = [r for r in rates if not math.isnan(r)]
-        rate = max(finite, key=abs) if finite else None
     for root in droots.roots:
         try:
             sol = solve_evolute_point(frame, root.theta, tol=solve_tol)
         except (NoSolutionError, RankDeficientError) as exc:
             messages.append(f"theta={root.theta:.4f}: {exc}")
             continue
-        if rate is not None:
-            sol = dataclasses.replace(sol, pick_rate=rate)
         sols.append(sol)
     return SamplePoint(index, point, "ok", sols, "; ".join(messages),
                        pick_rates=rates)
@@ -630,8 +625,8 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
             ((i, j), (u, v))
             for i, u in enumerate(us) for j, v in enumerate(vs)
         ]
-    samples = _map_samples(surface, indexed, root_tol, solve_tol,
-                           workers, pick_directions)
+    samples, ran_on = _map_samples(surface, indexed, root_tol, solve_tol,
+                                   workers, pick_directions)
 
     by_index = {s.index: s for s in samples}
     failures = [
@@ -722,7 +717,7 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
             degenerate=items[0].solution.theta is None,
             link_gaps=tuple(link_gaps.get(bid, ())),
         ))
-    return TraceResult(branches, samples, failures, grid)
+    return TraceResult(branches, samples, failures, grid, ran_on)
 
 
 def _sample_task(args):
@@ -733,20 +728,28 @@ def _sample_task(args):
 
 def _map_samples(surface, indexed, root_tol, solve_tol, workers,
                  pick_directions=0):
-    if workers and workers > 1 and len(indexed) > 64:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    """The samples, and the number of processes they ran on.
 
-            tasks = [
-                (surface, idx, pt, root_tol, solve_tol, pick_directions)
-                for idx, pt in indexed
-            ]
-            chunk = max(1, len(tasks) // (workers * 4))
+    A pool runs only for more than 64 samples; for fewer, or when the
+    pool cannot start (OSError), the samples run serially in this
+    process.
+    """
+    if workers and workers > 1 and len(indexed) > 64:
+        # imported here: a serial run then never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        tasks = [
+            (surface, idx, pt, root_tol, solve_tol, pick_directions)
+            for idx, pt in indexed
+        ]
+        chunk = max(1, len(tasks) // (workers * 4))
+        try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_sample_task, tasks, chunksize=chunk))
-        except (OSError, ImportError):
+                return list(pool.map(_sample_task, tasks,
+                                     chunksize=chunk)), workers
+        except OSError:
             pass
     return [
         compute_sample(surface, idx, pt, root_tol, solve_tol, pick_directions)
         for idx, pt in indexed
-    ]
+    ], 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonConvexPointError, PatchBoundsError
-from .geometry import Plane3, Quadric3
+from .geometry import Plane3, Quadric3, as_direction
 from .jets import Jet2, substitute
 from .matutil import det3, inv3, matmul3, matvec3, transpose3
 from .scalars import (
@@ -292,10 +292,6 @@ class BlaschkeFrame:
             3 * jet.coefficient(0, 3) + jet.coefficient(2, 1),
         )
 
-    @property
-    def base_world_point(self):
-        return self.world_from_local.translation
-
     def cubic_value(self, xi, eta):
         """The cubic form along a tangent direction."""
         return (self.a * (xi**3 - 3 * xi * eta**2)
@@ -508,28 +504,65 @@ def rotate_frame(frame: BlaschkeFrame, theta: float | None = None, *,
     )
 
 
-def rotate_to(frame: BlaschkeFrame, direction) -> tuple[BlaschkeFrame, AffineMap3]:
-    """Rotate so the given tangent direction becomes (1, 0).
-
-    Returns the rotated frame together with the 3-space rotation that
-    maps rotated-local coordinates back to the original local chart.
-    """
-    from .geometry import as_direction
-
+def _turn(frame: BlaschkeFrame, direction):
+    """Unit form (xi, eta) of a tangent direction, exact in rational
+    mode, and the rotation taking the chart turned onto it back to the
+    frame's own local chart."""
     mode = frame.mode
     d = as_direction(direction, mode)
     if mode == RATIONAL:
         xi, eta = d.exact_unit()
     else:
         xi, eta = d.unit()
-    if xi == one(mode) and not eta:
-        return frame, AffineMap3.identity(mode)
-    rotated = rotate_frame(frame, cos_sin=(xi, -eta))
     o, z = one(mode), zero(mode)
     back = AffineMap3(
         ((xi, -eta, z), (eta, xi, z), (z, z, o)), (z, z, z), mode
     )
-    return rotated, back
+    return xi, eta, back
+
+
+def rotate_to(frame: BlaschkeFrame, direction) -> tuple[BlaschkeFrame, AffineMap3]:
+    """Rotate so the given tangent direction becomes (1, 0).
+
+    Returns the rotated frame together with the 3-space rotation that
+    maps rotated-local coordinates back to the original local chart.
+    """
+    xi, eta, back = _turn(frame, direction)
+    if xi == one(frame.mode) and not eta:
+        return frame, AffineMap3.identity(frame.mode)
+    return rotate_frame(frame, cos_sin=(xi, -eta)), back
+
+
+def binary_form(coeffs, x, y):
+    """Value of the form sum_i coeffs[i] x^(k-i) y^i of degree k."""
+    k = len(coeffs) - 1
+    return sum(c * x ** (k - i) * y ** i for i, c in enumerate(coeffs))
+
+
+def turned_coefficients(frame: BlaschkeFrame, direction):
+    """(a, b, f40, f31, f50) of the frame turned so the direction
+    becomes (1, 0), and the rotation back as in :func:`rotate_to`.
+
+    A rotation keeps the degree of each homogeneous part, so the turned
+    coefficients are values of f3, f4 and f5 at the unit direction d and
+    at d_perp = (-eta, xi): a = f3(d), b = f3(d_perp), f40 = f4(d),
+    f31 = grad f4(d) . d_perp and f50 = f5(d).  They equal the
+    coefficients of ``rotate_to(frame, direction)[0]``, exactly in
+    rational mode, without substituting into the jet.
+    """
+    xi, eta, back = _turn(frame, direction)
+    f4 = frame.f4
+    f4_x = binary_form([(4 - i) * c for i, c in enumerate(f4[:4])], xi, eta)
+    f4_y = binary_form([i * c for i, c in enumerate(f4) if i], xi, eta)
+    f5 = [frame.normalized.coefficient(5 - i, i) for i in range(6)]
+    coeffs = (
+        frame.cubic_value(xi, eta),
+        frame.cubic_value(-eta, xi),
+        binary_form(f4, xi, eta),
+        -eta * f4_x + xi * f4_y,
+        binary_form(f5, xi, eta),
+    )
+    return coeffs, back
 
 
 def pull_back(frame: BlaschkeFrame, obj):

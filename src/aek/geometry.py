@@ -175,9 +175,6 @@ class TangentDirection:
         n = sqrt_scalar(n2, self.mode)
         return self.xi / n, self.eta / n
 
-    def is_unit(self, tol: float = 1e-12) -> bool:
-        return abs(float(self.norm_squared()) - 1.0) <= tol
-
     def _canonical(self):
         xi, eta = float(self.xi), float(self.eta)
         n = math.hypot(xi, eta)

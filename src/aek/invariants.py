@@ -1,9 +1,10 @@
 """Classical pointwise invariants of a normalized convex surface jet.
 
 All operations take a :class:`~aek.frames.BlaschkeFrame`.  Directions
-other than (1, 0) are handled by rotating the frame, applying the
-closed forms for the distinguished direction, and rotating the result
-back; the rotation is recorded so world pull-backs stay consistent.
+other than (1, 0) are handled by turning the frame onto the direction,
+applying the closed forms for the distinguished direction, and rotating
+the result back; the rotation is recorded so world pull-backs stay
+consistent.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateConeError
-from .frames import BlaschkeFrame, rotate_to
+from .frames import BlaschkeFrame, rotate_to, turned_coefficients
 from .geometry import AtInfinity, Plane3, Quadric3, as_direction
 from .jets import Jet2, substitute
 from .scalars import coerce, zero
@@ -105,11 +106,6 @@ def su_cone_direction(frame: BlaschkeFrame, direction):
     return s
 
 
-def _moutard_data(frame: BlaschkeFrame):
-    """(a, b, f40) of the frame; callers pre-rotate so T = (1, 0)."""
-    return frame.a, frame.b, frame.f4[0]
-
-
 def moutard_quadric(frame: BlaschkeFrame, direction) -> Quadric3:
     """Quadric swept by the osculating conics of sections through T.
 
@@ -117,9 +113,8 @@ def moutard_quadric(frame: BlaschkeFrame, direction) -> Quadric3:
     z = (x^2+y^2)/2 + 2 f21 y z + 2 f30 x z + 4 (f40 - 2 f30^2) z^2;
     other directions are rotated onto this one.
     """
-    rot, back = rotate_to(frame, direction)
-    a, b, f40 = _moutard_data(rot)
-    mode = rot.mode
+    (a, b, f40, _, _), back = turned_coefficients(frame, direction)
+    mode = frame.mode
     f30, f21 = a, -3 * b
     half = coerce(1, mode) / 2
     z = zero(mode)
@@ -137,9 +132,8 @@ def moutard_quadric(frame: BlaschkeFrame, direction) -> Quadric3:
 
 def moutard_center(frame: BlaschkeFrame, direction):
     """Center of the Moutard quadric, or AtInfinity if it is a paraboloid."""
-    rot, back = rotate_to(frame, direction)
-    a, b, f40 = _moutard_data(rot)
-    num = (-2 * a, 6 * b, coerce(1, rot.mode))
+    (a, b, f40, _, _), back = turned_coefficients(frame, direction)
+    num = (-2 * a, 6 * b, coerce(1, frame.mode))
     den = 4 * (2 * f40 - 5 * a * a - 9 * b * b)
     scale = 4 * (2 * abs(float(f40)) + 5 * float(a) ** 2 + 9 * float(b) ** 2)
     if not den or abs(float(den)) <= _INFINITY_TOL * max(1.0, scale):

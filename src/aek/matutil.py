@@ -75,12 +75,3 @@ def solve3(m, rhs):
         )
         out.append(det3(mj) / d)
     return tuple(out)
-
-
-def identity3(one_value):
-    z = one_value * 0
-    return (
-        (one_value, z, z),
-        (z, one_value, z),
-        (z, z, one_value),
-    )

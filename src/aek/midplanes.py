@@ -27,36 +27,13 @@ from .scalars import FLOAT, RATIONAL, coerce, zero
 _SCALE = -2  # see module docstring
 
 
-# ---------------------------------------------------------------------------
-# graph adapter: frames and surface models expose the same local data
-
-
-class _Graph:
-    """Height-function evaluations for either input kind."""
-
-    def __init__(self, target):
-        if isinstance(target, BlaschkeFrame):
-            self.mode = target.mode
-            jet = target.normalized
-            self._hx = jet.partial("x")
-            self._hy = jet.partial("y")
-            self._hxx = self._hx.partial("x")
-            self._hxy = self._hx.partial("y")
-            self._hyy = self._hy.partial("y")
-            self.value = jet.evaluate
-            self.gradient = lambda p: (self._hx.evaluate(p), self._hy.evaluate(p))
-            self.hessian = lambda p: (
-                self._hxx.evaluate(p),
-                self._hxy.evaluate(p),
-                self._hyy.evaluate(p),
-            )
-        elif isinstance(target, SurfaceModel):
-            self.mode = target.mode
-            self.value = target.value
-            self.gradient = target.gradient
-            self.hessian = target.hessian
-        else:
-            raise TypeError(f"expected frame or surface, got {type(target)!r}")
+def _as_surface(target) -> SurfaceModel:
+    """A frame's normalized jet as an unbounded surface; surfaces pass."""
+    if isinstance(target, BlaschkeFrame):
+        return SurfaceModel(target.normalized,
+                            (-math.inf, math.inf, -math.inf, math.inf),
+                            check_convexity=False)
+    return target
 
 
 @dataclass(frozen=True)
@@ -117,7 +94,7 @@ def mid_plane(target, pair) -> Plane3:
 
 
 def mid_plane_equation(target, pair) -> LinearEquation:
-    g = _Graph(target)
+    g = _as_surface(target)
     mode = g.mode
     p1, p2 = _pair_points(pair)
     p1 = tuple(coerce(c, mode) for c in p1)
@@ -151,7 +128,7 @@ def envelope_system(target, pair) -> EnvelopeSystem:
     is polynomial in the pair and affine-linear in X), then combined
     into the difference/sum rows.
     """
-    g = _Graph(target)
+    g = _as_surface(target)
     mode = g.mode
     p1, p2 = _pair_points(pair)
     p1 = tuple(coerce(c, mode) for c in p1)
@@ -224,7 +201,6 @@ def envelope_system(target, pair) -> EnvelopeSystem:
             const = partials[du][1] + sign * partials[dv][1]
             rows.append(row_from((cov, const)))
     # assembled order: F, u-diff, v-diff, u-sum, v-sum
-    rows = [rows[0], rows[1], rows[2], rows[3], rows[4]]
     return EnvelopeSystem(tuple(rows), (p1, p2), mode)
 
 
@@ -387,16 +363,14 @@ def _residual_report(diff: LinearFormJet, degrees) -> ExpansionReport:
     return ExpansionReport(worst, exact and diff.mode == RATIONAL, max(degrees))
 
 
-def check_cubic_term(frame: BlaschkeFrame) -> ExpansionReport:
-    """Pair-collapse expansion agrees with the Transon form through
-    total degree 3 (exactly, in rational mode)."""
-    diff = expand_mid_plane(frame, 4) - transon_form_jet(frame, 4)
+def _cubic_report(frame: BlaschkeFrame,
+                  expansion: LinearFormJet) -> ExpansionReport:
+    diff = expansion - transon_form_jet(frame, 4)
     return _residual_report(diff, (0, 1, 2, 3))
 
 
-def check_quartic_term(frame: BlaschkeFrame) -> ExpansionReport:
-    """The degree-4 part of the expansion equals
-    form_u(du, dv, X) * (u1+u2) + form_v(du, dv, X) * (v1+v2)."""
+def _quartic_report(frame: BlaschkeFrame,
+                    expansion: LinearFormJet) -> ExpansionReport:
     mode = frame.mode
     u1, v1, u2, v2 = _pair_variables(4, mode)
     du, dv = u1 - u2, v1 - v2
@@ -410,8 +384,27 @@ def check_quartic_term(frame: BlaschkeFrame) -> ExpansionReport:
         cz=ju.cz * su + jv.cz * sv,
         c1=ju.c1 * su + jv.c1 * sv,
     )
-    diff = expand_mid_plane(frame, 4).graded_part(4) - predicted.graded_part(4)
+    diff = expansion.graded_part(4) - predicted.graded_part(4)
     return _residual_report(diff, (4,))
+
+
+def check_cubic_term(frame: BlaschkeFrame) -> ExpansionReport:
+    """Pair-collapse expansion agrees with the Transon form through
+    total degree 3 (exactly, in rational mode)."""
+    return _cubic_report(frame, expand_mid_plane(frame, 4))
+
+
+def check_quartic_term(frame: BlaschkeFrame) -> ExpansionReport:
+    """The degree-4 part of the expansion equals
+    form_u(du, dv, X) * (u1+u2) + form_v(du, dv, X) * (v1+v2)."""
+    return _quartic_report(frame, expand_mid_plane(frame, 4))
+
+
+def check_expansion_terms(frame: BlaschkeFrame):
+    """(:func:`check_cubic_term`, :func:`check_quartic_term`) of the
+    frame, from one expansion of its mid-plane functional."""
+    expansion = expand_mid_plane(frame, 4)
+    return _cubic_report(frame, expansion), _quartic_report(frame, expansion)
 
 
 # ---------------------------------------------------------------------------

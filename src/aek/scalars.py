@@ -94,15 +94,6 @@ def sqrt_scalar(value, mode: str):
     return math.sqrt(value)
 
 
-def as_float(value) -> float:
-    return float(value)
-
-
-def parse_scalar(text, mode: str):
-    """Parse a JSON-level number or ``"p/q"`` string."""
-    return coerce(text, mode)
-
-
 def format_scalar(value) -> str:
     """Serialize for reports: ``p/q`` for Fractions, repr for floats."""
     if isinstance(value, Fraction):

@@ -46,6 +46,17 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("key", ["residual", "simple"])
+def test_unread_tolerance_keys_rejected(tmp_path, capsys, key):
+    path = write_spec(tmp_path, "tol.json", {
+        "coefficients": {"2,0": 1}, "patch": [-1, 1, -1, 1],
+        "tolerances": {key: 1e-6},
+    })
+    code, _, err = run_cli(capsys, "normalize", "--spec", path)
+    assert code == 1
+    assert "unknown tolerance keys" in err
+
+
 def test_bad_coefficient_key_rejected(tmp_path, capsys):
     path = write_spec(tmp_path, "bad2.json", {
         "coefficients": {"x,y": 1}, "patch": [-1, 1, -1, 1],
@@ -273,6 +284,25 @@ def test_evolute_six_branches_at_center(tmp_path, capsys):
     thetas = sorted(float(row[3]) for row in center_rows)
     for k, th in enumerate(thetas):
         assert th == pytest.approx(k * math.pi / 6, abs=1e-8)
+
+
+def test_evolute_regularity_full_is_usage_error(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "evolute", "--spec", str(SPECS / "cubic_six.json"),
+        "--grid", "3", "--out", str(tmp_path), "--regularity", "full",
+    )
+    assert code == 1
+
+
+def test_evolute_reports_workers_that_ran(tmp_path, capsys):
+    # 49 samples run serially, whatever the request
+    code, out, _ = run_cli(
+        capsys, "evolute", "--spec", str(SPECS / "cubic_six.json"),
+        "--grid", "7", "--out", str(tmp_path), "--workers", "2",
+        "--regularity", "off",
+    )
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["workers"] == 1
 
 
 def test_evolute_empty_grid_usage_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ from aek.evolute import (
     pick_derivative,
     pick_invariant,
     regularity_report,
+    regularity_rule,
     section_curvature_rate,
     solve_evolute_point,
     trace_evolute,
@@ -315,6 +316,15 @@ def test_regularity_flags_good_branch():
     assert report.regular
 
 
+def test_regularity_rule_needs_simple_root():
+    assert regularity_rule(True, 1.0, (float("nan"), 1.0)) == (
+        True, True, True)
+    assert regularity_rule(False, 1.0, (1.0,)) == (True, True, False)
+    assert regularity_rule(True, 1e-10, (1.0,)) == (True, False, False)
+    assert regularity_rule(True, 1.0, (float("nan"), 1e-7)) == (
+        False, True, False)
+
+
 def test_regularity_sphere_fails_everything():
     report = regularity_report(sphere_surface(), (0.01, 0.0), 0.0)
     assert not report.simple_root
@@ -392,6 +402,30 @@ def test_trace_parallel_matches_serial():
         for x, y in zip(a.solutions, b.solutions):
             assert x.theta == y.theta
             assert x.center_world == y.center_world
+    assert (serial.workers, parallel.workers) == (1, 2)
+
+
+def test_compute_sample_normalizes_and_finds_roots_once(monkeypatch):
+    import aek.evolute as evolute
+
+    s = SurfaceModel.from_coefficients(
+        {(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1.0, (1, 2): -3.0},
+        (-0.1, 0.1, -0.1, 0.1), FLOAT,
+    )
+    calls = {}
+    for name in ("normalize_at", "evolute_directions"):
+        def counted(*args, _name=name, _fn=getattr(evolute, name), **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(evolute, name, counted)
+    # the base point once, plus two stencil points per Pick direction
+    for picks, normalizations in ((2, 5), (0, 1)):
+        calls.clear()
+        sample = evolute.compute_sample(s, (0, 0), (0.02, -0.01),
+                                        pick_directions=picks)
+        assert sample.status == "ok" and len(sample.solutions) > 1
+        assert calls == {"normalize_at": normalizations,
+                         "evolute_directions": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ from aek.frames import (
     rotate_frame,
     rotate_to,
     to_float_frame,
+    turned_coefficients,
 )
 from aek.geometry import Plane3
 from aek.invariants import moutard_center
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
+    PYTHAGOREAN_DIRECTIONS,
     chart_preserving_unimodular,
     map_chart_point,
     sphere_surface,
@@ -186,6 +188,17 @@ def test_rotate_to_brings_direction_first():
     assert back.apply_vector((1, 0, 0)) == (Fraction(3, 5), Fraction(4, 5), 0)
     # cubic norm preserved exactly
     assert rot.a ** 2 + rot.b ** 2 == fr.a ** 2 + fr.b ** 2
+
+
+def test_turned_coefficients_match_rotate_to_exactly():
+    rng = random.Random(17)
+    for _ in range(20):
+        fr = random_frame(rng, RATIONAL)
+        for d in PYTHAGOREAN_DIRECTIONS:
+            rot, back = rotate_to(fr, d)
+            coeffs, turned_back = turned_coefficients(fr, d)
+            assert coeffs == (rot.a, rot.b, rot.f4[0], rot.f4[1], rot.f50)
+            assert turned_back.linear == back.linear
 
 
 def test_moutard_center_rotation_equivariance():
