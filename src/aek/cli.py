@@ -315,6 +315,19 @@ def cmd_invariants(spec: SurfaceSpec, point_text: str,
     return render_report("invariants", spec, results, {}), 0
 
 
+def _draw_direction(rng: random.Random, mode: str):
+    """A random tangent direction (xi, eta) with small rational or
+    uniform float entries, or None when the draw is (0, 0)."""
+    if mode == RATIONAL:
+        xi = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        eta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    else:
+        xi, eta = rng.uniform(-1, 1), rng.uniform(-1, 1)
+    if not xi and not eta:
+        return None
+    return xi, eta
+
+
 def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     mode = spec.mode
     rng = random.Random(seed)
@@ -342,13 +355,10 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     euler_worst = 0.0
     for _ in range(50):
         fr = random_frame(rng, mode)
-        if mode == RATIONAL:
-            xi = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            eta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        else:
-            xi, eta = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        if not xi and not eta:
+        direction = _draw_direction(rng, mode)
+        if direction is None:
             continue
+        xi, eta = direction
         g = transon_plane(fr, (xi, eta)).normal
         g_xi, g_eta = transon_gradients(fr, (xi, eta))
         resid = max(
@@ -363,13 +373,10 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     det_exact = True
     for _ in range(100):
         fr = random_frame(rng, mode)
-        if mode == RATIONAL:
-            xi = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            eta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        else:
-            xi, eta = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        if not xi and not eta:
+        direction = _draw_direction(rng, mode)
+        if direction is None:
             continue
+        xi, eta = direction
         d_val = discriminant_D(fr, (xi, eta))
         s = direction_sextic(fr)
         expected = (xi * xi + eta * eta) ** 2 * s.evaluate(xi, eta) * 3

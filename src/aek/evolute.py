@@ -12,7 +12,6 @@ patch, and evaluates the regularity diagnostics for a branch.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -340,31 +339,13 @@ def pick_invariant(frame: BlaschkeFrame):
     return frame.a * frame.a + frame.b * frame.b
 
 
-def _cubic_phase_b(kappa: complex, reference_angle: float) -> float:
-    """The cubic coefficient b in the rotated frame that kills a.
-
-    The killing rotation is only fixed modulo 2*pi/3; the branch
-    nearest the reference angle is chosen so paired evaluations stay
-    on one frame family.
-    """
-    if kappa == 0:
-        return 0.0
-    ang = cmath.phase(kappa)
-    delta = (ang - reference_angle + math.pi) % (2 * math.pi) - math.pi
-    psi = (reference_angle + delta - math.pi / 2) / 3
-    return (kappa * cmath.exp(-3j * psi)).imag
-
-
 def pick_derivative(surface: SurfaceModel, p0, direction_w,
-                    h: float = 1e-4,
-                    frame: BlaschkeFrame | None = None) -> float:
-    """Directional derivative of the cubic-killing-frame coefficient b.
+                    h: float = 1e-4) -> float:
+    """Directional derivative of the Pick norm |kappa| = sqrt(a^2 + b^2).
 
-    Central finite difference along the chart line through p0; the
-    killing rotation is continued between the two side evaluations so
-    the difference measures a derivative, not a frame jump.  ``frame``
-    is the frame already normalized at p0, if the caller has one; it
-    fixes the reference phase of the killing rotation.
+    Central finite difference along the chart line through p0.  |kappa|
+    is the coefficient b >= 0 of the frame turned to kill a, whichever
+    of the three such turns is taken, so no frame continuation is needed.
     """
     wx, wy = (float(c) for c in direction_w)
     norm = math.hypot(wx, wy)
@@ -380,13 +361,8 @@ def pick_derivative(surface: SurfaceModel, p0, direction_w,
             raise PatchBoundsError(
                 f"stencil point {p} outside patch {surface.patch}"
             )
-    f0 = normalize_at(surface, p0) if frame is None else frame
-    kappa0 = complex(float(f0.a), float(f0.b))
-    ref = cmath.phase(kappa0) if kappa0 != 0 else math.pi / 2
-    fp = normalize_at(surface, pp)
-    fm = normalize_at(surface, pm)
-    bp = _cubic_phase_b(complex(float(fp.a), float(fp.b)), ref)
-    bm = _cubic_phase_b(complex(float(fm.a), float(fm.b)), ref)
+    bp, bm = (math.sqrt(pick_invariant(normalize_at(surface, p)))
+              for p in (pp, pm))
     return (bp - bm) / (2 * h)
 
 
@@ -423,8 +399,8 @@ def regularity_rule(simple_root: bool, mu_prime, pick_rates,
     """The sufficient regularity condition at a branch point, as
     (pick_rate_nonzero, mu_prime_nonzero, regular).
 
-    The Pick invariant is not critical (some finite directional b-rate
-    clears ``rate_tol``), the section curvature rate along T clears
+    The Pick invariant is not critical (some finite directional rate of
+    |kappa| clears ``rate_tol``), the section curvature rate along T clears
     ``mu_tol``, and the branch direction is a simple root.
     """
     rate_ok = any(abs(r) > rate_tol for r in pick_rates if not math.isnan(r))
@@ -432,16 +408,22 @@ def regularity_rule(simple_root: bool, mu_prime, pick_rates,
     return rate_ok, mu_ok, simple_root and rate_ok and mu_ok
 
 
-def _pick_rates(surface, p0, frame, directions: int, h: float) -> tuple:
+#: what ``normalize_at`` raises at a point it cannot normalize
+_NORMALIZE_ERRORS = (NonConvexPointError, PatchBoundsError, ValueError,
+                     ZeroDivisionError)
+
+
+def _pick_rates(surface, p0, directions: int, h: float) -> tuple:
     """Pick rates along ``directions`` chart directions spread over
-    [0, pi); NaN where the stencil leaves the patch."""
+    [0, pi); NaN where a stencil point leaves the patch or cannot be
+    normalized."""
     rates = []
     for k in range(directions):
         ang = math.pi * k / directions
         try:
             rates.append(pick_derivative(
-                surface, p0, (math.cos(ang), math.sin(ang)), h, frame))
-        except PatchBoundsError:
+                surface, p0, (math.cos(ang), math.sin(ang)), h))
+        except _NORMALIZE_ERRORS:
             rates.append(float("nan"))
     return tuple(rates)
 
@@ -461,7 +443,7 @@ def regularity_report(target, p0, theta: float,
     if isinstance(target, SurfaceModel):
         surface = target.to_float()
         frame = normalize_at(surface, p0)
-        rates = _pick_rates(surface, p0, frame, directions, h)
+        rates = _pick_rates(surface, p0, directions, h)
     else:
         frame = to_float_frame(target)
     simple = direction_sextic(frame).is_simple_root(theta)
@@ -538,21 +520,20 @@ def compute_sample(surface: SurfaceModel, index, point,
                    pick_step: float = 1e-4) -> SamplePoint:
     """Normalize, find root directions and solve centers at one point.
 
-    With ``pick_directions`` > 0, the cubic-killing-frame rate of the
-    Pick coefficient is sampled along that many chart directions for
-    the regularity diagnostics.  The point is normalized and its roots
-    are found once; the stencil and every root reuse them.
+    With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
+    sampled along that many chart directions for the regularity
+    diagnostics.  The point is normalized and its roots are found once,
+    and every root reuses them.
     """
     try:
         frame = normalize_at(surface, point)
-    except NonConvexPointError as exc:
-        return SamplePoint(index, point, "non_convex", message=str(exc))
-    except (PatchBoundsError, ValueError, ZeroDivisionError) as exc:
-        return SamplePoint(index, point, "error", message=str(exc))
+    except _NORMALIZE_ERRORS as exc:
+        status = ("non_convex" if isinstance(exc, NonConvexPointError)
+                  else "error")
+        return SamplePoint(index, point, status, message=str(exc))
     rates = None
     if pick_directions:
-        rates = _pick_rates(surface, point, frame, pick_directions,
-                            pick_step)
+        rates = _pick_rates(surface, point, pick_directions, pick_step)
     droots = evolute_directions(frame, tol=root_tol)
     if droots.identically_zero:
         mc = moutard_center(frame, (1.0, 0.0))

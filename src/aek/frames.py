@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NonConvexPointError, PatchBoundsError
 from .geometry import Plane3, Quadric3, as_direction
@@ -41,7 +42,8 @@ _SNAP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class AffineMap3:
-    """Invertible affine map of 3-space with a cached inverse."""
+    """Invertible affine map of 3-space; the inverse of the linear part
+    is computed on first use."""
 
     linear: tuple
     translation: tuple
@@ -53,16 +55,15 @@ class AffineMap3:
         object.__setattr__(self, "translation", tuple(self.translation))
         if not det3(lin):
             raise ValueError("affine map has singular linear part")
-        object.__setattr__(self, "_inv_linear", inv3(lin))
 
     @classmethod
     def identity(cls, mode: str) -> "AffineMap3":
         o, z = one(mode), zero(mode)
         return cls(((o, z, z), (z, o, z), (z, z, o)), (z, z, z), mode)
 
-    @property
+    @cached_property
     def inv_linear(self):
-        return self._inv_linear
+        return inv3(self.linear)
 
     @property
     def det_linear(self):
@@ -79,9 +80,9 @@ class AffineMap3:
         return AffineMap3(lin, tr, self.mode)
 
     def inverse(self) -> "AffineMap3":
-        it = matvec3(self._inv_linear, self.translation)
+        it = matvec3(self.inv_linear, self.translation)
         return AffineMap3(
-            self._inv_linear, tuple(-c for c in it), self.mode
+            self.inv_linear, tuple(-c for c in it), self.mode
         )
 
     def apply_point(self, point):
@@ -95,15 +96,14 @@ class AffineMap3:
 
     def apply_plane(self, plane: Plane3) -> Plane3:
         """Covector transforms by the inverse transpose."""
-        m = matvec3(transpose3(self._inv_linear), plane.normal)
+        m = matvec3(transpose3(self.inv_linear), plane.normal)
         d = plane.offset + sum(a * b for a, b in zip(m, self.translation))
         return Plane3(m, d, plane.mode)
 
     def apply_quadric(self, quadric: Quadric3) -> Quadric3:
+        inv = self.inv_linear
         minv = [
-            [*self._inv_linear[i],
-             -sum(self._inv_linear[i][j] * self.translation[j]
-                  for j in range(3))]
+            [*inv[i], -sum(inv[i][j] * self.translation[j] for j in range(3))]
             for i in range(3)
         ]
         z = zero(self.mode)
@@ -370,14 +370,16 @@ def _graph_shear(h: Jet2, alpha, beta) -> Jet2:
     """Height function after substituting x -> x + alpha z, y -> y + beta z
     into the graph equation and re-solving for z.
 
-    Fixed point of g = h(x + alpha*g, y + beta*g); each sweep gains one
-    order, so a handful of sweeps is exact at the jet order.
+    Fixed point of g = h(x + alpha*g, y + beta*g).  The start g = h is
+    right through degree 2 (h has no constant or linear part), and a
+    sweep turns an error of degree d into one of degree d + 1, so
+    ``order - 2`` sweeps are exact at the jet order.
     """
     order, mode = h.order, h.mode
     xj = Jet2.variable("x", order, mode)
     yj = Jet2.variable("y", order, mode)
     g = h
-    for _ in range(order - 1):
+    for _ in range(order - 2):
         g = substitute(h, (xj + g.scaled(alpha), yj + g.scaled(beta)))
     return g
 

@@ -212,18 +212,6 @@ class _Jet:
     def __rmul__(self, other):
         return self.scaled(other)
 
-    def power(self, k: int):
-        if k < 0:
-            raise ValueError("negative jet power")
-        result = type(self).constant(1, self.order, self.mode)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     # -- calculus -----------------------------------------------------
 
     def partial(self, var: str):

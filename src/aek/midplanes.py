@@ -159,10 +159,6 @@ def envelope_system(target, pair) -> EnvelopeSystem:
         const = sum(s * f[1] for s, f in pairs)
         return cov, const
 
-    def scalar_form(value):
-        z = zero(mode)
-        return ((z, z, z), value)
-
     def row_from(aff):
         cov, const = aff
         return LinearEquation(

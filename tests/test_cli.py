@@ -305,6 +305,34 @@ def test_evolute_reports_workers_that_ran(tmp_path, capsys):
     assert json.loads(out)["diagnostics"]["workers"] == 1
 
 
+@pytest.mark.parametrize("umin, umax", [
+    # the stencil's normalize_at finds the Hessian not positive definite
+    (-0.18665266666666666, 0.013347333333333322),
+    # the stencil's frame misses apolarity (ValueError)
+    (-0.18648666666666663, 0.01351333333333335),
+])
+def test_evolute_survives_failed_pick_stencil(tmp_path, capsys, umin, umax):
+    """The u-column next to the non-convex edge (u < -1/6) has Pick
+    stencil points that cannot be normalized; they get a NaN rate, and
+    the run records the same failures and rows as without the stencil."""
+    path = write_spec(tmp_path, "edge.json", {
+        "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1.0},
+        "patch": [umin, umax, -0.1, 0.1],
+        "mode": "float",
+    })
+    results = {}
+    for regularity in ("fast", "off"):
+        code, out, _ = run_cli(
+            capsys, "evolute", "--spec", path, "--grid", "11",
+            "--workers", "1", "--regularity", regularity,
+            "--out", str(tmp_path / regularity),
+        )
+        assert code == 0
+        results[regularity] = json.loads(out)["results"]
+    assert results["fast"]["failures"] == results["off"]["failures"]
+    assert results["fast"]["csv_rows"] == results["off"]["csv_rows"]
+
+
 def test_evolute_empty_grid_usage_error(tmp_path, capsys):
     path = paraboloid_spec(tmp_path)
     code, _, _ = run_cli(capsys, "evolute", "--spec", path, "--grid", "0",

@@ -26,6 +26,7 @@ from aek.evolute import (
     trace_evolute,
 )
 from aek.invariants import su_cone_direction
+from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import PYTHAGOREAN_DIRECTIONS, sphere_surface
@@ -258,6 +259,44 @@ def test_pick_derivative_rejects_zero_direction():
     s = sphere_surface()
     with pytest.raises(ValueError):
         pick_derivative(s, (0.0, 0.0), (0.0, 0.0))
+
+
+def _turned_surface(surface, phi):
+    """The graph turned by phi about the z axis: a chart point p moves
+    to R(phi) p.  The patch grows to hold the turned square."""
+    c, s = math.cos(phi), math.sin(phi)
+    h = surface.height
+    xj = Jet2.variable("x", h.order, FLOAT)
+    yj = Jet2.variable("y", h.order, FLOAT)
+    turned = substitute(h, (xj.scaled(c) + yj.scaled(s),
+                            xj.scaled(-s) + yj.scaled(c)))
+    r = math.sqrt(2) * max(abs(float(e)) for e in surface.patch)
+    return SurfaceModel(turned, (-r, r, -r, r), check_convexity=False)
+
+
+@pytest.mark.parametrize("make_surface", [
+    lambda: SurfaceModel.from_coefficients(  # specs/cubic_six.json
+        {(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1.0, (1, 2): -3.0},
+        (-0.1, 0.1, -0.1, 0.1), FLOAT),
+    lambda: regular_fixture(),
+], ids=["cubic_six", "regular_fixture"])
+def test_pick_derivative_rotation_covariant(make_surface):
+    """|kappa| is a rotation invariant, so turning the graph, the point
+    and the stencil direction together leaves the rate unchanged."""
+    def turn(v, phi):
+        c, s = math.cos(phi), math.sin(phi)
+        return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+    surface = make_surface()
+    for phi in (0.77, 2.0, -1.3):
+        turned = _turned_surface(surface, phi)
+        for p, w in (((0.02, -0.01), (1.0, 0.0)),
+                     ((-0.03, 0.04), (0.6, 0.8)),
+                     ((0.05, 0.03), (0.0, 1.0))):
+            rate = pick_derivative(surface, p, w)
+            assert abs(rate) > 1e-3
+            assert pick_derivative(turned, turn(p, phi), turn(w, phi)) \
+                == pytest.approx(rate, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

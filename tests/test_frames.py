@@ -8,6 +8,7 @@ from aek.errors import NonConvexPointError, PatchBoundsError
 from aek.frames import (
     AffineMap3,
     SurfaceModel,
+    _graph_shear,
     frame_from_coefficients,
     normalize_at,
     pull_back,
@@ -21,6 +22,7 @@ from aek.frames import (
 )
 from aek.geometry import Plane3
 from aek.invariants import moutard_center
+from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
@@ -69,6 +71,26 @@ def test_shear_enforces_apolarity():
     assert fr.apolarity_residuals == (0, 0)
     # the recorded shear: x -> x + alpha z with alpha = -3/2
     assert fr.world_from_local.linear[0][2] == Fraction(-3, 2)
+
+
+def test_graph_shear_is_an_exact_fixed_point():
+    """``order - 2`` sweeps reach the fixed point g = h(x + alpha g,
+    y + beta g): one more sweep changes no coefficient."""
+    rng = random.Random(11)
+
+    def draw():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    xj = Jet2.variable("x", 5, RATIONAL)
+    yj = Jet2.variable("y", 5, RATIONAL)
+    for _ in range(30):
+        h = Jet2.from_terms(
+            {(i, d - i): draw() for d in range(2, 6) for i in range(d + 1)},
+            5, RATIONAL)
+        alpha, beta = draw(), draw()
+        g = _graph_shear(h, alpha, beta)
+        assert substitute(h, (xj + g.scaled(alpha),
+                              yj + g.scaled(beta))) == g
 
 
 def test_tangent_plane_maps_correctly():

@@ -19,6 +19,7 @@ from aek.invariants import (
     transon_gradients,
     transon_plane,
 )
+from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import PYTHAGOREAN_DIRECTIONS, mu_prime_oracle
@@ -79,6 +80,24 @@ def test_section_quintic_coefficient_closed_form():
     assert sec.a3 == 6 * a
     assert sec.a4 == 24 * (fr.f4[0] - Fraction(9, 2) * b * b)
     assert sec.a5 == 120 * (-27 * a * b * b + 3 * b * fr.f31 + fr.f50)
+
+
+def test_section_projection_matches_swept_fixed_point():
+    """One sweep of the section solve y = lam f(x, y) gives the same
+    a3, a4 and a5 as iterating it to convergence (five sweeps)."""
+    rng = random.Random(5)
+    xj = Jet2.variable("x", 5, RATIONAL)
+    for _ in range(30):
+        fr = random_frame(rng, RATIONAL)
+        lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        ys = Jet2.zero(5, RATIONAL)
+        for _ in range(5):
+            ys = substitute(fr.normalized, (xj, ys)).scaled(lam)
+        g = substitute(fr.normalized, (xj, ys))
+        sec = section_projection(fr, lam)
+        assert (sec.a3, sec.a4, sec.a5) == (
+            6 * g.coefficient(3, 0), 24 * g.coefficient(4, 0),
+            120 * g.coefficient(5, 0))
 
 
 # ---------------------------------------------------------------------------
