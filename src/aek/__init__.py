@@ -11,6 +11,7 @@ from .errors import (
     DegenerateConeError,
     DegeneratePairError,
     NonConvexPointError,
+    NormalizationError,
     NoSolutionError,
     PatchBoundsError,
     RankDeficientError,

@@ -131,17 +131,17 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
             ) from None
         try:
             coeffs[(i, j)] = coerce(value, mode)
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(
-                f"coefficient {key!r}: {exc}"
-            ) from None
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise SpecFormatError(f"coefficient {key!r}: {exc}") from None
     patch = raw["patch"]
     if (not isinstance(patch, list) or len(patch) != 4):
         raise SpecFormatError("'patch' must be [umin, umax, vmin, vmax]")
     try:
         patch = tuple(coerce(c, mode) for c in patch)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise SpecFormatError(f"patch: {exc}") from None
+    if not (patch[0] < patch[1] and patch[2] < patch[3]):
+        raise SpecFormatError("'patch' needs umin < umax and vmin < vmax")
     grid = raw.get("grid", 41)
     if not isinstance(grid, int) or grid < 1:
         raise SpecFormatError("'grid' must be a positive integer")
@@ -152,7 +152,13 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     if unknown:
         raise SpecFormatError(f"unknown tolerance keys: {sorted(unknown)}")
     defaults = {"root": 1e-9, "solve": 1e-7, "branch_angle": 0.2}
-    defaults.update({k: float(v) for k, v in tol.items()})
+    try:
+        defaults.update({k: coerce(v, FLOAT) for k, v in tol.items()})
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SpecFormatError(f"tolerances: {exc}") from None
+    bad = sorted(k for k in tol if not 0 < defaults[k] < math.inf)
+    if bad:
+        raise SpecFormatError(f"tolerances must be finite and positive: {bad}")
     return SurfaceSpec(coeffs, patch, mode, grid, defaults, path)
 
 
@@ -168,7 +174,7 @@ def parse_point(text: str, mode: str):
         if len(parts) != 2:
             raise ValueError("expected 'u,v'")
         return tuple(coerce(p.strip(), mode) for p in parts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise SpecFormatError(f"bad point {text!r}: {exc}") from None
 
 
@@ -183,7 +189,7 @@ def parse_direction(text: str):
             return xi / n, eta / n
         theta = float(text)
         return math.cos(theta), math.sin(theta)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise SpecFormatError(f"bad direction {text!r}: {exc}") from None
 
 
@@ -473,29 +479,30 @@ def cmd_verify(spec: SurfaceSpec, point_text: str,
 
 
 def write_evolute_csv(path: str, trace, include_regular: bool) -> int:
-    rows = 0
+    """One row per finite center, in (u, v, theta) order."""
+    sample_by_index = {s.index: s for s in trace.samples}
+    rows = sorted(
+        ((branch.branch_id, bs) for branch in trace.branches
+         for bs in branch.samples
+         if not isinstance(bs.solution.center_world, AtInfinity)),
+        key=lambda row: (row[1].index, row[1].solution.theta or 0.0))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("u,v,branch_id,theta,x,y,z,D_residual,regular_flag\n")
-        sample_by_index = {s.index: s for s in trace.samples}
-        for branch in trace.branches:
-            for bs in branch.samples:
-                sol = bs.solution
-                if isinstance(sol.center_world, AtInfinity):
-                    continue
-                theta = "" if sol.theta is None else repr(float(sol.theta))
-                x, y, z = (repr(float(c)) for c in sol.center_world)
-                flag = ""
-                if include_regular:
-                    _, _, regular = regularity_rule(
-                        sol.simple_root, sol.mu_prime,
-                        sample_by_index[bs.index].pick_rates)
-                    flag = int(regular)
-                fh.write(
-                    f"{bs.point[0]!r},{bs.point[1]!r},{branch.branch_id},"
-                    f"{theta},{x},{y},{z},{sol.d_value!r},{flag}\n"
-                )
-                rows += 1
-    return rows
+        for branch_id, bs in rows:
+            sol = bs.solution
+            theta = "" if sol.theta is None else repr(float(sol.theta))
+            x, y, z = (repr(float(c)) for c in sol.center_world)
+            flag = ""
+            if include_regular:
+                _, _, regular = regularity_rule(
+                    sol.simple_root, sol.mu_prime,
+                    sample_by_index[bs.index].pick_rates)
+                flag = int(regular)
+            fh.write(
+                f"{bs.point[0]!r},{bs.point[1]!r},{branch_id},"
+                f"{theta},{x},{y},{z},{sol.d_value!r},{flag}\n"
+            )
+    return len(rows)
 
 
 def write_evolute_obj(path: str, trace) -> tuple[int, int]:

@@ -29,5 +29,10 @@ class RankDeficientError(AekError):
     """The envelope limit system has rank below 3."""
 
 
+class NormalizationError(AekError, ValueError):
+    """A point cannot be Blaschke-normalized (a Hessian with no exact
+    rational square root, or a singular or non-finite normal form)."""
+
+
 class SpecFormatError(AekError):
     """Surface spec file is malformed."""

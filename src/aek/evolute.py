@@ -160,7 +160,6 @@ def discriminant_D(frame: BlaschkeFrame, direction):
 class DirectionRoot:
     theta: float
     simple: bool
-    q_value: float
     q_derivative: float
 
 
@@ -223,7 +222,6 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
         DirectionRoot(
             theta=th,
             simple=sextic.is_simple_root(th, simple_tol),
-            q_value=sextic.theta_value(th),
             q_derivative=sextic.theta_derivative(th),
         )
         for th in unique
@@ -246,7 +244,6 @@ class EvoluteSolution:
     center_world: object
     residuals: tuple | None
     dropped_index: int | None
-    q_value: float
     d_value: float
     simple_root: bool
     mu_prime: float
@@ -307,7 +304,7 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float,
                     pull_back_direction(fr, target.direction)
                 ),
                 residuals=None, dropped_index=None,
-                q_value=qv, d_value=d_value, simple_root=simple,
+                d_value=d_value, simple_root=simple,
                 mu_prime=mu_prime, moutard_gap=None,
             )
         raise RankDeficientError(
@@ -329,7 +326,7 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float,
         center_local=x,
         center_world=pull_back(fr, x),
         residuals=residuals, dropped_index=best_drop,
-        q_value=qv, d_value=d_value, simple_root=simple,
+        d_value=d_value, simple_root=simple,
         mu_prime=mu_prime, moutard_gap=gap,
     )
 
@@ -488,7 +485,8 @@ class BranchSample:
 
 @dataclass
 class EvoluteBranch:
-    """A continued family of (surface point -> direction -> center)."""
+    """A sheet of (surface point -> direction -> center), with at most
+    one sample per grid point."""
 
     branch_id: int
     samples: list
@@ -508,7 +506,6 @@ class TraceResult:
     branches: list
     samples: list
     failures: list
-    grid_shape: tuple
     #: processes the samples ran on: the pool size, or 1 when serial
     workers: int
 
@@ -545,7 +542,7 @@ def compute_sample(surface: SurfaceModel, index, point,
             theta=None, direction=None,
             center_local=mc, center_world=pull_back(frame, mc),
             residuals=None, dropped_index=None,
-            q_value=0.0, d_value=0.0, simple_root=False,
+            d_value=0.0, simple_root=False,
             mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),
             moutard_gap=None,
         )
@@ -583,122 +580,122 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
     """Continue the evolute over a chart grid.
 
     Grid samples are independent (and parallelizable); branches are
-    assembled afterwards by nearest-angle matching between neighboring
-    grid points, with multiple roots and angle jumps breaking the
-    branch.  Per-sample failures are collected, never fatal.
+    labelled afterwards by :func:`_label_branches`, each a connected
+    sheet with one sample per grid point.  Per-sample failures are
+    collected, never fatal.
 
     ``points`` may supply an explicit list of ((i, j), (u, v)) samples
     in place of the regular grid (the indices drive branch adjacency).
     """
     surface = surface.to_float()
-    if isinstance(grid, int):
-        grid = (grid, grid)
     if points is not None:
         indexed = [(tuple(idx), (float(p[0]), float(p[1])))
                    for idx, p in points]
-        grid = (
-            1 + max(i for (i, _), _ in indexed),
-            1 + max(j for (_, j), _ in indexed),
-        )
     else:
-        us, vs = grid_points(surface.patch, grid)
+        us, vs = grid_points(surface.patch, (grid, grid)
+                             if isinstance(grid, int) else grid)
         indexed = [
             ((i, j), (u, v))
             for i, u in enumerate(us) for j, v in enumerate(vs)
         ]
     samples, ran_on = _map_samples(surface, indexed, root_tol, solve_tol,
                                    workers, pick_directions)
-
-    by_index = {s.index: s for s in samples}
     failures = [
         (s.index, s.point, s.status, s.message)
         for s in samples if s.status in ("non_convex", "error")
     ]
+    return TraceResult(_label_branches(samples, angle_threshold), samples,
+                       failures, ran_on)
 
-    # Greedy chain matching, row-major.  Each solution slot gets a
-    # branch id from the best matching neighbor slot; a slot whose
-    # candidate neighbors disagree sits where two root families
-    # collide, which breaks the continuation (recorded, not merged).
-    assignment = {}
-    events = {}
-    link_gaps = {}
-    next_id = 0
 
-    for s in samples:
-        if s.status not in ("ok", "degenerate"):
-            continue
-        i, j = s.index
-        claimed = set()
+def _label_branches(samples, angle_threshold: float) -> list:
+    """Label the root slots (grid index, root number) with sheets:
+    two-pass labelling with union-find (Hoshen & Kopelman, 1976).
+
+    A sample links its roots to those of its left and lower neighbours,
+    one to one, nearest angle gap first, within ``angle_threshold``;
+    only simple roots link, and degenerate samples link with gap 0.  A
+    merge that would put two roots of one grid point on one branch is
+    refused.  Events mark a non-simple root, a root without a partner
+    where the root count changes, and a refused merge, one line per
+    (branch, kind, other branch).  Branch ids follow the smallest slot.
+    """
+    by_index = {s.index: s for s in samples
+                if s.status in ("ok", "degenerate")}
+    parent, points, links, breaks = {}, {}, [], []
+
+    def find(slot):
+        while parent[slot] != slot:
+            parent[slot] = parent[parent[slot]]
+            slot = parent[slot]
+        return slot
+
+    for idx, s in by_index.items():
         for k, sol in enumerate(s.solutions):
-            candidates = []
-            for nb_index in ((i - 1, j), (i, j - 1)):
-                nb = by_index.get(nb_index)
-                if nb is None or nb.status != s.status:
-                    continue
-                for m, nsol in enumerate(nb.solutions):
-                    if (nb_index, m) in claimed:
-                        continue
-                    if (nb_index, m) not in assignment:
-                        continue
-                    if sol.theta is None and nsol.theta is None:
-                        gap = 0.0
-                    elif sol.theta is None or nsol.theta is None:
-                        continue
-                    else:
-                        gap = angle_gap(sol.theta, nsol.theta)
-                    if gap < angle_threshold:
-                        candidates.append((gap, nb_index, m, nsol))
-            candidates.sort(key=lambda c: c[0])
-            chosen = None
-            for gap, nb_index, m, nsol in candidates:
-                if sol.theta is not None and not (
-                        sol.simple_root and nsol.simple_root):
-                    bid = assignment[(nb_index, m)]
-                    events.setdefault(bid, []).append(
-                        f"multiple root near {s.index}; branch broken"
-                    )
-                    continue
-                chosen = (gap, nb_index, m)
-                break
-            if chosen is None:
-                assignment[(s.index, k)] = next_id
-                next_id += 1
+            parent[idx, k], points[idx, k] = (idx, k), {idx}
+            if sol.theta is not None and not sol.simple_root:
+                breaks.append(((idx, k), "non-simple root", None, idx))
+    for idx, s in by_index.items():
+        for nb in (by_index.get((idx[0] - 1, idx[1])),
+                   by_index.get((idx[0], idx[1] - 1))):
+            if nb is None or nb.status != s.status:
                 continue
-            gap, nb_index, m = chosen
-            bid = assignment[(nb_index, m)]
-            assignment[(s.index, k)] = bid
-            claimed.add((nb_index, m))
-            link_gaps.setdefault(bid, []).append(gap)
-            other_ids = {
-                assignment[(c[1], c[2])] for c in candidates
-            } - {bid}
-            if other_ids:
-                events.setdefault(bid, []).append(
-                    f"root families touch near {s.index} "
-                    f"(branches {sorted(other_ids)})"
-                )
+            pairs = sorted(
+                (0.0 if a.theta is None else angle_gap(a.theta, b.theta),
+                 k, m)
+                for k, a in enumerate(s.solutions)
+                for m, b in enumerate(nb.solutions)
+                if a.theta is None or (a.simple_root and b.simple_root))
+            mine, theirs = set(), set()
+            for gap, k, m in pairs:
+                if gap >= angle_threshold or k in mine or m in theirs:
+                    continue
+                mine.add(k)
+                theirs.add(m)
+                ra, rb = find((idx, k)), find((nb.index, m))
+                if ra != rb and not points[ra].isdisjoint(points[rb]):
+                    breaks += [(ra, "refused merge", rb, idx),
+                               (rb, "refused merge", ra, idx)]
+                    continue
+                if ra != rb:
+                    if len(points[ra]) < len(points[rb]):
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+                    points[ra] |= points.pop(rb)
+                links.append(((idx, k), gap))
+            if len(s.solutions) != len(nb.solutions):
+                for own, other, used in ((s, nb, mine), (nb, s, theirs)):
+                    kind = (f"root count {len(own.solutions)} -> "
+                            f"{len(other.solutions)}")
+                    breaks += [((own.index, k), kind, None, own.index)
+                               for k in range(len(own.solutions))
+                               if k not in used]
 
-    groups = {}
-    for s in samples:
-        if s.status not in ("ok", "degenerate"):
-            continue
-        for k, sol in enumerate(s.solutions):
-            bid = assignment[(s.index, k)]
-            groups.setdefault(bid, []).append(
-                BranchSample(s.index, s.point, sol)
-            )
-
+    members = {}
+    for slot in parent:
+        members.setdefault(find(slot), []).append(slot)
+    roots = sorted(members, key=lambda r: min(members[r]))
+    label = {r: n for n, r in enumerate(roots)}
+    gaps, seen, events = {}, {}, {}
+    for slot, gap in links:
+        gaps.setdefault(label[find(slot)], []).append(gap)
+    for slot, kind, other, idx in breaks:
+        key = (label[find(slot)], kind, other and label[find(other)])
+        first, count = seen.get(key, (idx, 0))
+        seen[key] = (min(first, idx), count + 1)
+    for (bid, kind, other), (first, count) in seen.items():
+        events.setdefault(bid, []).append(
+            kind + ("" if other is None else f" with branch {other}")
+            + f" at {first}" + (f", {count} times" if count > 1 else ""))
     branches = []
-    for new_id, (bid, items) in enumerate(sorted(groups.items())):
-        items.sort(key=lambda bs: bs.index)
+    for bid, r in enumerate(roots):
+        items = [BranchSample(idx, by_index[idx].point,
+                              by_index[idx].solutions[k])
+                 for idx, k in sorted(members[r])]
         branches.append(EvoluteBranch(
-            branch_id=new_id,
-            samples=items,
-            events=events.get(bid, []),
-            degenerate=items[0].solution.theta is None,
-            link_gaps=tuple(link_gaps.get(bid, ())),
-        ))
-    return TraceResult(branches, samples, failures, grid, ran_on)
+            bid, items, events.get(bid, []), items[0].solution.theta is None,
+            tuple(gaps.get(bid, ()))))
+    return branches
 
 
 def _sample_task(args):

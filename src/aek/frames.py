@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NonConvexPointError, PatchBoundsError
+from .errors import NonConvexPointError, NormalizationError, PatchBoundsError
 from .geometry import Plane3, Quadric3, as_direction
 from .jets import Jet2, substitute
 from .matutil import det3, inv3, matmul3, matvec3, transpose3
@@ -415,8 +415,17 @@ def normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     the inverse symmetric square root of the Hessian to the chart so
     the quadratic part becomes (x^2+y^2)/2; shear along z to make the
     cubic part apolar.  In rational mode the Hessian square root must
-    exist in Q, otherwise a ValueError explains the failure.
+    exist in Q; a point that cannot be normalized for this or another
+    reason (float overflow) raises :class:`NormalizationError`.
     """
+    try:
+        return _normalize_at(surface, p0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NormalizationError(
+            f"cannot normalize at ({p0[0]}, {p0[1]}): {exc}") from None
+
+
+def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     mode = surface.mode
     p0 = tuple(coerce(c, mode) for c in p0)
     if not surface.contains(p0):
@@ -440,12 +449,7 @@ def normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     h00 = 2 * h.coefficient(2, 0)
     h01 = h.coefficient(1, 1)
     h11 = 2 * h.coefficient(0, 2)
-    try:
-        s00, s01, s11 = _sym_inv_sqrt2(h00, h01, h11, mode)
-    except ValueError as exc:
-        raise ValueError(
-            f"rational-mode normalization needs exact square roots: {exc}"
-        ) from None
+    s00, s01, s11 = _sym_inv_sqrt2(h00, h01, h11, mode)
     xj = Jet2.variable("x", 5, mode)
     yj = Jet2.variable("y", 5, mode)
     h = substitute(h, (xj.scaled(s00) + yj.scaled(s01),

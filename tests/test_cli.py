@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import aek.cli as cli
 import aek.midplanes as midplanes
@@ -86,6 +89,100 @@ def test_rational_strings_parse(tmp_path):
     from fractions import Fraction
 
     assert spec.coefficients[(3, 0)] == Fraction(-2, 7)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"tolerances": {"root": "abc"}}, "tolerances"),
+    ({"tolerances": {"root": None}}, "tolerances"),
+    ({"tolerances": {"branch_angle": -1}}, "finite and positive"),
+    ({"tolerances": {"solve": float("inf")}}, "finite and positive"),
+    ({"tolerances": {"root": 10 ** 400}}, "tolerances"),
+    ({"patch": [0.1, -0.1, -0.1, 0.1]}, "umin < umax"),
+    ({"patch": [-0.1, 0.1, 0.2, 0.2]}, "vmin < vmax"),
+    ({"coefficients": {"2,0": 10 ** 400}}, "coefficient"),
+])
+def test_malformed_spec_values_exit_1(tmp_path, capsys, extra, message):
+    path = write_spec(tmp_path, "bad.json", {
+        "coefficients": {"2,0": 1, "0,2": 1}, "patch": [-1, 1, -1, 1],
+        **extra,
+    })
+    code, _, err = run_cli(capsys, "normalize", "--spec", path)
+    assert code == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["normalize", "invariants", "verify"])
+@pytest.mark.parametrize("body, message", [
+    # Hessian diag(2, 1): det 2 has no rational square root
+    ({"coefficients": {"2,0": 1, "0,2": "1/2"}, "patch": [-1, 1, -1, 1],
+      "mode": "rational"}, "square root"),
+    # the Hessian overflows, so the normalizing map is singular
+    ({"coefficients": {"2,0": 1e308, "0,2": 1e308},
+      "patch": [-1, 1, -1, 1]}, "singular"),
+])
+def test_normalization_failure_exit_2(tmp_path, capsys, command, body,
+                                      message):
+    path = write_spec(tmp_path, "spec.json", body)
+    code, out, err = run_cli(capsys, command, "--spec", path)
+    assert code == 2
+    assert out == ""
+    assert "cannot normalize at (0" in err and message in err
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["1/2", "-1/3", "abc", "1e400", "1/0", 10 ** 400])
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=3)),
+    max_leaves=8,
+)
+_NUMBERS = (st.integers(-3, 3) | st.floats(-3, 3)
+            | st.sampled_from(["1/2", "-1/3", "3/2", "1/0", "1e400",
+                               1e308, 10 ** 400, float("nan")]))
+_NEAR_VALID = st.fixed_dictionaries({
+    "coefficients": st.fixed_dictionaries(
+        dict.fromkeys(["2,0", "0,2"],
+                      st.sampled_from([1, "1/2", 0.5, 2]) | _NUMBERS),
+        optional=dict.fromkeys(["1,1", "3,0", "1,2", "0,0", "4,2"],
+                               _NUMBERS)),
+    "patch": st.lists(_NUMBERS, min_size=4, max_size=4) | st.tuples(
+        *[st.sampled_from([-1, -0.1, "-1/2"]),
+          st.sampled_from([1, 0.1, "1/2"])] * 2).map(list),
+}, optional={
+    "mode": st.sampled_from(["float", "rational"]),
+    "tolerances": st.dictionaries(
+        st.sampled_from(["root", "solve", "branch_angle"]), _NUMBERS),
+})
+# any JSON under the spec keys; exponent keys stay at degree 6 or below,
+# so every example is cheap
+_ARBITRARY = st.fixed_dictionaries({}, optional={
+    "coefficients": st.dictionaries(
+        st.text(alphabet="0123,-", max_size=3), _JSON, max_size=4) | _JSON,
+    "patch": _JSON,
+    "mode": _JSON,
+    "grid": _JSON,
+    "tolerances": _JSON,
+})
+_SPECS = _NEAR_VALID | _ARBITRARY
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(body=_SPECS)
+def test_any_spec_object_gives_an_exit_code(body):
+    """Whatever the spec keys hold, ``aek normalize`` ends in exit 0, 1
+    or 2, never in an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["normalize", "--spec", str(path),
+                         "--out", tmp]) in (0, 1, 2)
 
 
 def test_bad_point_is_usage_error(tmp_path, capsys):
@@ -284,6 +381,59 @@ def test_evolute_six_branches_at_center(tmp_path, capsys):
     thetas = sorted(float(row[3]) for row in center_rows)
     for k, th in enumerate(thetas):
         assert th == pytest.approx(k * math.pi / 6, abs=1e-8)
+
+
+def _turned_coefficients(coeffs: dict, phi: float) -> dict:
+    """Coefficients of p(c u + s v, -s u + c v): the graph turned by phi."""
+    c, s = math.cos(phi), math.sin(phi)
+    out = {}
+    for key, coef in coeffs.items():
+        i, j = (int(p) for p in key.split(","))
+        for k in range(i + 1):
+            for m in range(j + 1):
+                e = f"{i - k + j - m},{k + m}"
+                out[e] = out.get(e, 0.0) + (
+                    coef * math.comb(i, k) * math.comb(j, m)
+                    * c ** (i - k) * s ** k * (-s) ** (j - m) * c ** m)
+    return out
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.77])
+def test_evolute_branches_are_sheets(tmp_path, capsys, phi):
+    """On cubic_six, turned or not, each branch is a sheet: one CSV row
+    per (branch_id, u, v), rows in (u, v, theta) order, one OBJ vertex
+    per branch and grid point, faces within a branch, and one event
+    line per (branch, kind, other branch)."""
+    spec = json.loads((SPECS / "cubic_six.json").read_text())
+    spec["coefficients"] = _turned_coefficients(spec["coefficients"], phi)
+    path = write_spec(tmp_path, "turned.json", spec)
+    code, out, _ = run_cli(capsys, "evolute", "--spec", path, "--grid", "21",
+                           "--out", str(tmp_path), "--workers", "1")
+    assert code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "evolute_points.csv").read_text().splitlines()[1:]]
+    keys = [(int(r[2]), float(r[0]), float(r[1])) for r in rows]
+    assert len(set(keys)) == len(keys) == len(rows) > 0
+    order = [(float(r[0]), float(r[1]), float(r[3])) for r in rows]
+    assert order == sorted(order)
+
+    # the OBJ lists each branch's vertices in turn, in grid order
+    by_branch = sorted(zip(keys, rows))
+    obj = (tmp_path / "evolute_mesh.obj").read_text().splitlines()
+    verts = [tuple(map(float, line.split()[1:])) for line in obj
+             if line.startswith("v ")]
+    assert verts == [tuple(map(float, r[4:7])) for _, r in by_branch]
+    branch_of = [key[0] for key, _ in by_branch]
+    for line in obj:
+        if line.startswith("f "):
+            corners = [int(n) - 1 for n in line.split()[1:]]
+            assert len({branch_of[n] for n in corners}) == 1
+
+    branches = json.loads(out)["results"]["branches"]
+    assert {int(r[2]) for r in rows} == {b["id"] for b in branches}
+    for b in branches:
+        kinds = [e.split(" at ")[0] for e in b["events"]]
+        assert len(set(kinds)) == len(kinds)
 
 
 def test_evolute_regularity_full_is_usage_error(tmp_path, capsys):

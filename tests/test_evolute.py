@@ -14,6 +14,9 @@ from aek.frames import (
 )
 from aek.geometry import AtInfinity, angle_gap
 from aek.evolute import (
+    EvoluteSolution,
+    SamplePoint,
+    _label_branches,
     direction_sextic,
     discriminant_D,
     evolute_directions,
@@ -81,6 +84,22 @@ def test_vertical_direction_value():
         fr = random_frame(rng, RATIONAL)
         s = direction_sextic(fr)
         assert s.evaluate(0, 1) == -12 * fr.a * fr.b + fr.f4[3]
+
+
+def test_sextic_rotation_covariant_exactly():
+    """Turning the frame by (c, s) turns every root: the turned sextic
+    at R d equals the original sextic at d, as exact rationals."""
+    rng = random.Random(29)
+    for _ in range(10):
+        fr = random_frame(rng, RATIONAL)
+        q = direction_sextic(fr)
+        for c, s in PYTHAGOREAN_DIRECTIONS[2:]:
+            q_turned = direction_sextic(rotate_frame(fr, cos_sin=(c, s)))
+            for _ in range(4):
+                xi = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                eta = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                turned = q_turned.evaluate(c * xi - s * eta, s * xi + c * eta)
+                assert turned == q.evaluate(xi, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +444,44 @@ def test_trace_collects_nonconvex_corner():
     assert any(st == "ok" for st in statuses.values())
     assert len(res.failures) == 5  # the whole u = -0.2 column
     assert res.branches  # tracing continued
+
+
+def _root(theta, simple=True):
+    return EvoluteSolution(
+        theta=theta, direction=None, center_local=(0.0, 0.0, 0.0),
+        center_world=(0.0, 0.0, 0.0), residuals=None, dropped_index=None,
+        d_value=0.0, simple_root=simple, mu_prime=0.0, moutard_gap=None,
+    )
+
+
+def test_label_branches_refuses_two_roots_of_one_point():
+    """(1, 1) has two roots; the left link joins its root 0 to the sheet
+    of (0, 0), (0, 1) and (1, 0), so the lower link of its root 1 to
+    that same sheet is refused.  (2, 0) holds a non-simple root, which
+    links to nothing."""
+    roots = {(0, 0): [0.1], (0, 1): [0.0], (1, 0): [0.15],
+             (1, 1): [0.0, 0.15], (2, 0): [0.15]}
+    samples = [
+        SamplePoint(idx, idx, "ok",
+                    [_root(th, simple=idx != (2, 0)) for th in thetas])
+        for idx, thetas in sorted(roots.items())
+    ]
+    branches = _label_branches(samples, angle_threshold=0.2)
+    assert [[(bs.index, bs.solution.theta) for bs in b.samples]
+            for b in branches] == [
+        [((0, 0), 0.1), ((0, 1), 0.0), ((1, 0), 0.15), ((1, 1), 0.0)],
+        [((1, 1), 0.15)],
+        [((2, 0), 0.15)],
+    ]
+    assert [b.events for b in branches] == [
+        ["refused merge with branch 1 at (1, 1)",
+         "root count 2 -> 1 at (1, 1)"],
+        ["root count 2 -> 1 at (1, 1)",
+         "refused merge with branch 0 at (1, 1)"],
+        ["non-simple root at (2, 0)"],
+    ]
+    assert branches[0].max_link_gap == pytest.approx(0.1)
+    assert branches[1].link_gaps == branches[2].link_gaps == ()
 
 
 def test_trace_parallel_matches_serial():
