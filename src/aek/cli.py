@@ -97,6 +97,17 @@ class SurfaceSpec:
     path: str
 
 
+def _number(value, mode: str, what: str):
+    """A spec value as a finite scalar of ``mode``, or SpecFormatError."""
+    try:
+        number = coerce(value, mode)
+        if not math.isfinite(number):
+            raise ValueError(f"{value!r} is not a finite number")
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise SpecFormatError(f"{what}: {exc}") from None
+    return number
+
+
 def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,17 +140,11 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
             raise SpecFormatError(
                 f"coefficient key {key!r} is not 'i,j' with i,j >= 0"
             ) from None
-        try:
-            coeffs[(i, j)] = coerce(value, mode)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise SpecFormatError(f"coefficient {key!r}: {exc}") from None
+        coeffs[(i, j)] = _number(value, mode, f"coefficient {key!r}")
     patch = raw["patch"]
     if (not isinstance(patch, list) or len(patch) != 4):
         raise SpecFormatError("'patch' must be [umin, umax, vmin, vmax]")
-    try:
-        patch = tuple(coerce(c, mode) for c in patch)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise SpecFormatError(f"patch: {exc}") from None
+    patch = tuple(_number(c, mode, "patch") for c in patch)
     if not (patch[0] < patch[1] and patch[2] < patch[3]):
         raise SpecFormatError("'patch' needs umin < umax and vmin < vmax")
     grid = raw.get("grid", 41)
@@ -152,13 +157,10 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     if unknown:
         raise SpecFormatError(f"unknown tolerance keys: {sorted(unknown)}")
     defaults = {"root": 1e-9, "solve": 1e-7, "branch_angle": 0.2}
-    try:
-        defaults.update({k: coerce(v, FLOAT) for k, v in tol.items()})
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise SpecFormatError(f"tolerances: {exc}") from None
-    bad = sorted(k for k in tol if not 0 < defaults[k] < math.inf)
-    if bad:
-        raise SpecFormatError(f"tolerances must be finite and positive: {bad}")
+    defaults.update({k: _number(v, FLOAT, f"tolerance {k!r}")
+                     for k, v in tol.items()})
+    if min(defaults.values()) <= 0:
+        raise SpecFormatError(f"tolerances must be positive: {tol}")
     return SurfaceSpec(coeffs, patch, mode, grid, defaults, path)
 
 

@@ -30,8 +30,7 @@ class RankDeficientError(AekError):
 
 
 class NormalizationError(AekError, ValueError):
-    """A point cannot be Blaschke-normalized (a Hessian with no exact
-    rational square root, or a singular or non-finite normal form)."""
+    """A point cannot be normalized: no rational square root, or overflow."""
 
 
 class SpecFormatError(AekError):

@@ -92,14 +92,19 @@ def test_rational_strings_parse(tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"tolerances": {"root": "abc"}}, "tolerances"),
-    ({"tolerances": {"root": None}}, "tolerances"),
-    ({"tolerances": {"branch_angle": -1}}, "finite and positive"),
-    ({"tolerances": {"solve": float("inf")}}, "finite and positive"),
-    ({"tolerances": {"root": 10 ** 400}}, "tolerances"),
+    ({"tolerances": {"root": "abc"}}, "tolerance 'root'"),
+    ({"tolerances": {"root": None}}, "tolerance 'root'"),
+    ({"tolerances": {"branch_angle": -1}}, "must be positive"),
+    ({"tolerances": {"solve": float("inf")}}, "not a finite number"),
+    ({"tolerances": {"root": 10 ** 400}}, "tolerance 'root'"),
     ({"patch": [0.1, -0.1, -0.1, 0.1]}, "umin < umax"),
     ({"patch": [-0.1, 0.1, 0.2, 0.2]}, "vmin < vmax"),
-    ({"coefficients": {"2,0": 10 ** 400}}, "coefficient"),
+    ({"patch": [-float("inf"), float("inf"), -1, 1]}, "not a finite"),
+    ({"coefficients": {"2,0": 10 ** 400}}, "coefficient '2,0'"),
+    ({"coefficients": {"2,0": 1, "0,2": 1, "3,0": float("nan")}},
+     "not a finite number"),
+    ({"coefficients": {"2,0": 1, "0,2": 1, "3,0": "1e400"},
+      "mode": "rational"}, "coefficient '3,0'"),
 ])
 def test_malformed_spec_values_exit_1(tmp_path, capsys, extra, message):
     path = write_spec(tmp_path, "bad.json", {
