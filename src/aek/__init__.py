@@ -26,7 +26,6 @@ from .evolute import (
     evolute_directions,
     pick_derivative,
     pick_invariant,
-    regularity_report,
     section_curvature_rate,
     solve_evolute_point,
     trace_evolute,

@@ -36,7 +36,6 @@ from .evolute import (
     discriminant_D,
     evolute_directions,
     pick_invariant,
-    regularity_rule,
     section_curvature_rate,
     solve_evolute_point,
     trace_evolute,
@@ -49,17 +48,16 @@ from .frames import (
     pull_back,
     pull_back_direction,
     random_frame,
-    rotate_to,
     to_float_frame,
 )
 from .geometry import AtInfinity, Plane3, Quadric3
 from .invariants import (
+    _section_along,
     affine_curvature,
     affine_curvature_derivative,
     center_of_affine_curvature,
     moutard_center,
     moutard_quadric,
-    section_projection,
     su_cone_direction,
     transon_gradients,
     transon_plane,
@@ -190,6 +188,8 @@ def parse_direction(text: str):
                 raise ValueError("zero direction")
             return xi / n, eta / n
         theta = float(text)
+        if not math.isfinite(theta):
+            raise ValueError("not a finite angle")
         return math.cos(theta), math.sin(theta)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise SpecFormatError(f"bad direction {text!r}: {exc}") from None
@@ -288,9 +288,7 @@ def cmd_invariants(spec: SurfaceSpec, point_text: str,
     quadric = moutard_quadric(frame, t)
     center = moutard_center(frame, t)
     curv_center = center_of_affine_curvature(frame, t)
-    rot, _ = rotate_to(frame, t)
-    lam = 6 * rot.b
-    section = section_projection(rot, lam)
+    section, lam, _ = _section_along(frame, t)
     mu = affine_curvature(section)
     mu_prime = affine_curvature_derivative(section)
 
@@ -480,9 +478,9 @@ def cmd_verify(spec: SurfaceSpec, point_text: str,
     return report, 0 if all_passed else 3
 
 
-def write_evolute_csv(path: str, trace, include_regular: bool) -> int:
-    """One row per finite center, in (u, v, theta) order."""
-    sample_by_index = {s.index: s for s in trace.samples}
+def write_evolute_csv(path: str, trace) -> int:
+    """One row per finite center, in (u, v, theta) order; the
+    regular_flag column is empty where no Pick rates were sampled."""
     rows = sorted(
         ((branch.branch_id, bs) for branch in trace.branches
          for bs in branch.samples
@@ -494,12 +492,7 @@ def write_evolute_csv(path: str, trace, include_regular: bool) -> int:
             sol = bs.solution
             theta = "" if sol.theta is None else repr(float(sol.theta))
             x, y, z = (repr(float(c)) for c in sol.center_world)
-            flag = ""
-            if include_regular:
-                _, _, regular = regularity_rule(
-                    sol.simple_root, sol.mu_prime,
-                    sample_by_index[bs.index].pick_rates)
-                flag = int(regular)
+            flag = "" if sol.regular is None else int(sol.regular)
             fh.write(
                 f"{bs.point[0]!r},{bs.point[1]!r},{branch_id},"
                 f"{theta},{x},{y},{z},{sol.d_value!r},{flag}\n"
@@ -556,7 +549,7 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "evolute_points.csv")
     obj_path = os.path.join(out_dir, "evolute_mesh.obj")
-    rows = write_evolute_csv(csv_path, trace, include_regular=pick_dirs > 0)
+    rows = write_evolute_csv(csv_path, trace)
     nverts, nfaces = write_evolute_obj(obj_path, trace)
     n_ok = sum(1 for s in trace.samples if s.status == "ok")
     n_degenerate = sum(1 for s in trace.samples if s.status == "degenerate")

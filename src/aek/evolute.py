@@ -7,13 +7,14 @@ combination of its gradients and is discarded).  The system is
 solvable exactly when the direction is a root of a homogeneous sextic
 q; the solution, when finite, is the Moutard center of the direction.
 This module finds the roots, solves the centers, continues them over a
-patch, and evaluates the regularity diagnostics for a branch.
+patch, and flags the points where the sufficient regularity condition
+holds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +35,12 @@ from .frames import (
     turned_coefficients,
 )
 from .geometry import AtInfinity, angle_gap, as_direction
-from .invariants import moutard_center, transon_gradients
+from .invariants import (
+    SectionJet,
+    affine_curvature_derivative,
+    moutard_center,
+    transon_gradients,
+)
 from .matutil import det3, det4, solve3
 from .midplanes import pair_sum_forms
 from .scalars import coerce
@@ -235,7 +241,9 @@ class EvoluteSolution:
 
     ``residuals`` holds all four equation residuals at the solved
     point; ``dropped_index`` names the equation left out of the 3x3
-    solve, whose residual is reported rather than hidden.
+    solve, whose residual is reported rather than hidden.  ``regular``
+    is :func:`regularity_rule` at the point, set by
+    :func:`compute_sample` when it sampled Pick rates, else None.
     """
 
     theta: float
@@ -248,6 +256,7 @@ class EvoluteSolution:
     simple_root: bool
     mu_prime: float
     moutard_gap: float | None
+    regular: bool | None = None
 
 
 def solve_evolute_point(frame: BlaschkeFrame, theta: float,
@@ -372,37 +381,23 @@ def section_curvature_rate(frame: BlaschkeFrame, direction):
     a5 = 120(-27 a b^2 + 3 b f31 + f50).
     """
     (a, b, f40, f31, f50), _ = turned_coefficients(frame, direction)
-    a3 = 6 * a
-    a4 = 24 * (f40 - coerce(9, frame.mode) * b * b / 2)
-    a5 = 120 * (-27 * a * b * b + 3 * b * f31 + f50)
-    return (9 * a5 + 40 * a3 ** 3 - 45 * a3 * a4) / 27
+    return affine_curvature_derivative(SectionJet(
+        a3=6 * a,
+        a4=24 * (f40 - coerce(9, frame.mode) * b * b / 2),
+        a5=120 * (-27 * a * b * b + 3 * b * f31 + f50),
+        mode=frame.mode,
+    ))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Sufficient-condition diagnostics for branch regularity."""
-
-    theta: float
-    simple_root: bool
-    mu_prime: float
-    pick_rates: tuple
-    pick_rate_nonzero: bool
-    mu_prime_nonzero: bool
-    regular: bool
-
-
-def regularity_rule(simple_root: bool, mu_prime, pick_rates,
-                    rate_tol: float = 1e-6, mu_tol: float = 1e-9):
-    """The sufficient regularity condition at a branch point, as
-    (pick_rate_nonzero, mu_prime_nonzero, regular).
+def regularity_rule(simple_root: bool, mu_prime, pick_rates) -> bool:
+    """The sufficient regularity condition at a branch point.
 
     The Pick invariant is not critical (some finite directional rate of
-    |kappa| clears ``rate_tol``), the section curvature rate along T clears
-    ``mu_tol``, and the branch direction is a simple root.
+    |kappa| exceeds 1e-6), the section curvature rate along T exceeds
+    1e-9 in size, and the branch direction is a simple root.
     """
-    rate_ok = any(abs(r) > rate_tol for r in pick_rates if not math.isnan(r))
-    mu_ok = abs(mu_prime) > mu_tol
-    return rate_ok, mu_ok, simple_root and rate_ok and mu_ok
+    return (simple_root and abs(mu_prime) > 1e-9
+            and any(abs(r) > 1e-6 for r in pick_rates if not math.isnan(r)))
 
 
 #: what ``normalize_at`` raises at a point it cannot normalize
@@ -410,7 +405,7 @@ _NORMALIZE_ERRORS = (NonConvexPointError, PatchBoundsError, ValueError,
                      ZeroDivisionError)
 
 
-def _pick_rates(surface, p0, directions: int, h: float) -> tuple:
+def _pick_rates(surface, p0, directions: int) -> tuple:
     """Pick rates along ``directions`` chart directions spread over
     [0, pi); NaN where a stencil point leaves the patch or cannot be
     normalized."""
@@ -419,45 +414,10 @@ def _pick_rates(surface, p0, directions: int, h: float) -> tuple:
         ang = math.pi * k / directions
         try:
             rates.append(pick_derivative(
-                surface, p0, (math.cos(ang), math.sin(ang)), h))
+                surface, p0, (math.cos(ang), math.sin(ang))))
         except _NORMALIZE_ERRORS:
             rates.append(float("nan"))
     return tuple(rates)
-
-
-def regularity_report(target, p0, theta: float,
-                      directions: int = 8, h: float = 1e-4,
-                      rate_tol: float = 1e-6,
-                      mu_tol: float = 1e-9) -> RegularityReport:
-    """Check the sufficient regularity condition of
-    :func:`regularity_rule` at a branch point.
-
-    With a bare frame the pick-rate part cannot be sampled (it needs a
-    neighborhood), so the sufficient condition counts as unverified and
-    the point is not flagged regular.
-    """
-    rates = ()
-    if isinstance(target, SurfaceModel):
-        surface = target.to_float()
-        frame = normalize_at(surface, p0)
-        rates = _pick_rates(surface, p0, directions, h)
-    else:
-        frame = to_float_frame(target)
-    simple = direction_sextic(frame).is_simple_root(theta)
-    mu_prime = float(section_curvature_rate(
-        frame, (math.cos(theta), math.sin(theta))
-    ))
-    rate_ok, mu_ok, regular = regularity_rule(
-        simple, mu_prime, rates, rate_tol, mu_tol)
-    return RegularityReport(
-        theta=theta,
-        simple_root=simple,
-        mu_prime=mu_prime,
-        pick_rates=rates,
-        pick_rate_nonzero=rate_ok,
-        mu_prime_nonzero=mu_ok,
-        regular=regular,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +433,6 @@ class SamplePoint:
     status: str  # "ok" | "degenerate" | "non_convex" | "error"
     solutions: list = field(default_factory=list)
     message: str = ""
-    pick_rates: tuple | None = None
 
 
 @dataclass
@@ -513,14 +472,13 @@ class TraceResult:
 def compute_sample(surface: SurfaceModel, index, point,
                    root_tol: float = 1e-9,
                    solve_tol: float = 1e-7,
-                   pick_directions: int = 0,
-                   pick_step: float = 1e-4) -> SamplePoint:
+                   pick_directions: int = 0) -> SamplePoint:
     """Normalize, find root directions and solve centers at one point.
 
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
-    sampled along that many chart directions for the regularity
-    diagnostics.  The point is normalized and its roots are found once,
-    and every root reuses them.
+    sampled along that many chart directions, and every solution gets
+    its ``regular`` flag from those rates.  The point is normalized and
+    its roots are found once, and every root reuses them.
     """
     try:
         frame = normalize_at(surface, point)
@@ -530,35 +488,36 @@ def compute_sample(surface: SurfaceModel, index, point,
         return SamplePoint(index, point, status, message=str(exc))
     rates = None
     if pick_directions:
-        rates = _pick_rates(surface, point, pick_directions, pick_step)
+        rates = _pick_rates(surface, point, pick_directions)
     droots = evolute_directions(frame, tol=root_tol)
+    sols = []
+    messages = []
     if droots.identically_zero:
+        status = "degenerate"
         mc = moutard_center(frame, (1.0, 0.0))
         if isinstance(mc, AtInfinity):
-            return SamplePoint(index, point, "degenerate",
-                               message="centers at infinity",
-                               pick_rates=rates)
-        sol = EvoluteSolution(
+            return SamplePoint(index, point, status,
+                               message="centers at infinity")
+        sols.append(EvoluteSolution(
             theta=None, direction=None,
             center_local=mc, center_world=pull_back(frame, mc),
             residuals=None, dropped_index=None,
             d_value=0.0, simple_root=False,
             mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),
             moutard_gap=None,
-        )
-        return SamplePoint(index, point, "degenerate", [sol],
-                           pick_rates=rates)
-    sols = []
-    messages = []
-    for root in droots.roots:
-        try:
-            sol = solve_evolute_point(frame, root.theta, tol=solve_tol)
-        except (NoSolutionError, RankDeficientError) as exc:
-            messages.append(f"theta={root.theta:.4f}: {exc}")
-            continue
-        sols.append(sol)
-    return SamplePoint(index, point, "ok", sols, "; ".join(messages),
-                       pick_rates=rates)
+        ))
+    else:
+        status = "ok"
+        for root in droots.roots:
+            try:
+                sols.append(solve_evolute_point(frame, root.theta,
+                                                tol=solve_tol))
+            except (NoSolutionError, RankDeficientError) as exc:
+                messages.append(f"theta={root.theta:.4f}: {exc}")
+    if rates is not None:
+        sols = [replace(sol, regular=regularity_rule(
+                    sol.simple_root, sol.mu_prime, rates)) for sol in sols]
+    return SamplePoint(index, point, status, sols, "; ".join(messages))
 
 
 def grid_points(patch, shape):

@@ -273,14 +273,6 @@ class BlaschkeFrame:
         return -3 * self.b
 
     @property
-    def f12(self):
-        return -3 * self.a
-
-    @property
-    def f03(self):
-        return self.b
-
-    @property
     def f31(self):
         return self.f4[1]
 

@@ -139,7 +139,7 @@ class Quadric3:
 
 
 class TangentDirection:
-    """Direction ``(xi, eta)`` in a tangent chart, antipodally identified."""
+    """Direction ``(xi, eta)`` in a tangent chart."""
 
     __slots__ = ("xi", "eta", "mode")
 
@@ -156,12 +156,6 @@ class TangentDirection:
     def from_angle(cls, theta: float) -> "TangentDirection":
         return cls(math.cos(theta), math.sin(theta), FLOAT)
 
-    @property
-    def theta(self) -> float:
-        """Representative angle in [0, pi)."""
-        t = math.atan2(float(self.eta), float(self.xi)) % math.pi
-        return 0.0 if t >= math.pi - 1e-15 else t
-
     def norm_squared(self):
         return self.xi * self.xi + self.eta * self.eta
 
@@ -174,24 +168,6 @@ class TangentDirection:
         n2 = self.norm_squared()
         n = sqrt_scalar(n2, self.mode)
         return self.xi / n, self.eta / n
-
-    def _canonical(self):
-        xi, eta = float(self.xi), float(self.eta)
-        n = math.hypot(xi, eta)
-        xi, eta = xi / n, eta / n
-        if xi < 0 or (xi == 0 and eta < 0):
-            xi, eta = -xi, -eta
-        return xi, eta
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentDirection):
-            return NotImplemented
-        ax, ay = self._canonical()
-        bx, by = other._canonical()
-        return abs(ax - bx) <= 1e-12 and abs(ay - by) <= 1e-12
-
-    def __hash__(self):
-        return hash(tuple(round(c, 9) for c in self._canonical()))
 
     def __repr__(self):
         return f"TangentDirection({self.xi}, {self.eta})"

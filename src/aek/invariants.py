@@ -141,6 +141,15 @@ def moutard_center(frame: BlaschkeFrame, direction):
     return back.apply_point(tuple(c / den for c in num))
 
 
+def _section_along(frame: BlaschkeFrame, direction):
+    """(section, lam, back): the section spanned by the direction and
+    its cone ruling, as the plane y = lam z of the frame turned onto the
+    direction, and the rotation back as in :func:`rotate_to`."""
+    rot, back = rotate_to(frame, direction)
+    lam = 6 * rot.b  # the plane y = lam z contains (1,0) and s(1,0)
+    return section_projection(rot, lam), lam, back
+
+
 def affine_curvature(section: SectionJet):
     """Equi-affine curvature of the planar graph at its base point."""
     a3 = coerce(section.a3, section.mode)
@@ -164,11 +173,9 @@ def center_of_affine_curvature(frame: BlaschkeFrame, direction):
     extract the planar section jet, apply the planar curvature formula,
     and step 1/mu along the section's affine normal inside its plane.
     """
-    rot, back = rotate_to(frame, direction)
-    lam = 6 * rot.b  # the plane y = lam z contains (1,0) and s(1,0)
-    section = section_projection(rot, lam)
+    section, lam, back = _section_along(frame, direction)
     mu = affine_curvature(section)
-    normal_2d = (-section.a3 / 3, coerce(1, rot.mode))
+    normal_2d = (-section.a3 / 3, coerce(1, frame.mode))
     # embed the (x, z) projection plane back into the section plane
     direction_3d = (normal_2d[0], lam * normal_2d[1], normal_2d[1])
     if not mu or abs(float(mu)) <= _INFINITY_TOL * max(

@@ -82,9 +82,24 @@ class EnvelopeSystem:
     mode: str
 
 
-def _pair_points(pair):
-    (u1, v1), (u2, v2) = pair
-    return (u1, v1), (u2, v2)
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _mid_plane_terms(q1, n1, q2, n2, half):
+    """(n1.c, n2.c, w, w.m) of a pair, where w = (n1.c) n2 + (n2.c) n1.
+
+    q1, q2 are the graph points (u, v, f) of the pair, n1, n2 their
+    tangent covectors (-f_u, -f_v, 1), c = (q1 - q2)/2 and
+    m = (q1 + q2)/2; ``half`` is 1/2 in their mode.  The mid-plane
+    functional is _SCALE * (w.X - w.m).  Only + and * are used, so the
+    entries may be scalars or Jet4 values.
+    """
+    c = tuple(half * (x - y) for x, y in zip(q1, q2))
+    m = tuple(half * (x + y) for x, y in zip(q1, q2))
+    a1, a2 = _dot(n1, c), _dot(n2, c)
+    w = tuple(a1 * y + a2 * x for x, y in zip(n1, n2))
+    return a1, a2, w, _dot(w, m)
 
 
 def mid_plane(target, pair) -> Plane3:
@@ -96,108 +111,63 @@ def mid_plane(target, pair) -> Plane3:
 def mid_plane_equation(target, pair) -> LinearEquation:
     g = _as_surface(target)
     mode = g.mode
-    p1, p2 = _pair_points(pair)
-    p1 = tuple(coerce(c, mode) for c in p1)
-    p2 = tuple(coerce(c, mode) for c in p2)
-    f1, f2 = g.value(p1), g.value(p2)
-    gx1, gy1 = g.gradient(p1)
-    gx2, gy2 = g.gradient(p2)
-    n1 = (-gx1, -gy1, coerce(1, mode))
-    n2 = (-gx2, -gy2, coerce(1, mode))
-    c = ((p1[0] - p2[0]) / 2, (p1[1] - p2[1]) / 2, (f1 - f2) / 2)
-    m = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (f1 + f2) / 2)
-    a1 = sum(x * y for x, y in zip(n1, c))
-    a2 = sum(x * y for x, y in zip(n2, c))
-    w = tuple(a1 * q + a2 * p for p, q in zip(n1, n2))
+    one = coerce(1, mode)
+    sides = []
+    for point in pair:
+        p = tuple(coerce(c, mode) for c in point)
+        gx, gy = g.gradient(p)
+        sides += [(*p, g.value(p)), (-gx, -gy, one)]
+    a1, a2, w, wm = _mid_plane_terms(*sides, one / 2)
     cov = tuple(_SCALE * x for x in w)
-    rhs = _SCALE * sum(x * y for x, y in zip(w, m))
     magnitude = (abs(float(a1)) + abs(float(a2))) * max(
-        abs(float(x)) for x in (*n1, *n2)
+        abs(float(x)) for x in (*sides[1], *sides[3])
     )
     if all(not x if mode == RATIONAL else abs(float(x)) <= 1e-14 * max(magnitude, 1e-300)
            for x in cov):
         raise DegeneratePairError(f"mid-plane covector vanished for pair {pair}")
-    return LinearEquation(cov, rhs, mode)
+    return LinearEquation(cov, _SCALE * wm, mode)
+
+
+#: exponents of the constant and of du, dv, su, sv in an order-1 Jet4
+_ENVELOPE_SLOTS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                   (0, 0, 0, 1))
 
 
 def envelope_system(target, pair) -> EnvelopeSystem:
     """Exact first-order envelope conditions at a concrete pair.
 
-    The partials of the mid-plane functional with respect to the four
-    chart coordinates are differentiated in closed form (the functional
-    is polynomial in the pair and affine-linear in X), then combined
-    into the difference/sum rows.
+    The pair moves as p1 + s + d and p2 + s - d, with d = (du, dv) and
+    s = (su, sv) the variables (u1, v1, u2, v2) of an order-1 Jet4, so
+    the mid-plane functional of the moved pair carries F in its constant
+    coefficient and F_u1 -+ F_u2, F_v1 -+ F_v2 as its derivatives along
+    du, dv, su, sv (forward-mode differentiation: the functional is
+    polynomial in the pair and affine-linear in X).
     """
     g = _as_surface(target)
     mode = g.mode
-    p1, p2 = _pair_points(pair)
-    p1 = tuple(coerce(c, mode) for c in p1)
-    p2 = tuple(coerce(c, mode) for c in p2)
-    one = coerce(1, mode)
-    f1, f2 = g.value(p1), g.value(p2)
-    gx1, gy1 = g.gradient(p1)
-    gx2, gy2 = g.gradient(p2)
-    hxx1, hxy1, hyy1 = g.hessian(p1)
-    hxx2, hxy2, hyy2 = g.hessian(p2)
-    n1 = (-gx1, -gy1, one)
-    n2 = (-gx2, -gy2, one)
-    c = ((p1[0] - p2[0]) / 2, (p1[1] - p2[1]) / 2, (f1 - f2) / 2)
-    m = ((p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2, (f1 + f2) / 2)
+    points = tuple(tuple(coerce(c, mode) for c in p) for p in pair)
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
+    def lift(value, rate_u, rate_v, sign):
+        return Jet4.from_terms(dict(zip(
+            _ENVELOPE_SLOTS,
+            (value, sign * rate_u, sign * rate_v, rate_u, rate_v))), 1, mode)
 
-    a1, a2 = dot(n1, c), dot(n2, c)
-    # affine functions of X as (covector, constant): value = cov.X + const
-    b1 = (n1, -dot(n1, m))
-    b2 = (n2, -dot(n2, m))
-
-    def lin_comb(*pairs):
-        cov = tuple(
-            sum(s * f[0][i] for s, f in pairs) for i in range(3)
-        )
-        const = sum(s * f[1] for s, f in pairs)
-        return cov, const
-
-    def row_from(aff):
-        cov, const = aff
-        return LinearEquation(
-            tuple(_SCALE * x for x in cov), -_SCALE * const, mode
-        )
-
-    base = lin_comb((a1, b2), (a2, b1))
-    rows = [row_from(base)]
-
-    # derivative data per variable: (dN1, dN2, dC, dM)
-    half = one / 2
-    z = zero(mode)
-    variants = {
-        "u1": ((-hxx1, -hxy1, z), None, (half, z, gx1 / 2), (half, z, gx1 / 2)),
-        "v1": ((-hxy1, -hyy1, z), None, (z, half, gy1 / 2), (z, half, gy1 / 2)),
-        "u2": (None, (-hxx2, -hxy2, z), (-half, z, -gx2 / 2), (half, z, gx2 / 2)),
-        "v2": (None, (-hxy2, -hyy2, z), (z, -half, -gy2 / 2), (z, half, gy2 / 2)),
-    }
-
-    partials = {}
-    for var, (dn1, dn2, dc, dm) in variants.items():
-        dn1 = dn1 or (z, z, z)
-        dn2 = dn2 or (z, z, z)
-        da1 = dot(dn1, c) + dot(n1, dc)
-        da2 = dot(dn2, c) + dot(n2, dc)
-        db1 = (dn1, -dot(dn1, m) - dot(n1, dm))
-        db2 = (dn2, -dot(dn2, m) - dot(n2, dm))
-        total = lin_comb((da1, b2), (a1, db2), (da2, b1), (a2, db1))
-        partials[var] = total
-
-    for sign in (-1, 1):
-        for du, dv in (("u1", "u2"), ("v1", "v2")):
-            cov = tuple(
-                partials[du][0][i] + sign * partials[dv][0][i] for i in range(3)
-            )
-            const = partials[du][1] + sign * partials[dv][1]
-            rows.append(row_from((cov, const)))
-    # assembled order: F, u-diff, v-diff, u-sum, v-sum
-    return EnvelopeSystem(tuple(rows), (p1, p2), mode)
+    sides = []
+    for p, sign in zip(points, (1, -1)):
+        gx, gy = g.gradient(p)
+        hxx, hxy, hyy = g.hessian(p)
+        sides += [
+            (lift(p[0], 1, 0, sign), lift(p[1], 0, 1, sign),
+             lift(g.value(p), gx, gy, sign)),
+            (lift(-gx, -hxx, -hxy, sign), lift(-gy, -hxy, -hyy, sign),
+             lift(1, 0, 0, sign)),
+        ]
+    _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
+    rows = tuple(
+        LinearEquation(tuple(_SCALE * x.coefficient(*e) for x in w),
+                       _SCALE * wm.coefficient(*e), mode)
+        for e in _ENVELOPE_SLOTS)
+    return EnvelopeSystem(rows, points, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +190,17 @@ def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
     f = frame.normalized
     fx = f.partial("x")
     fy = f.partial("y")
-
-    f_1 = substitute(f, (u1, v1))
-    f_2 = substitute(f, (u2, v2))
     one = Jet4.constant(1, order, mode)
-    n1 = (-substitute(fx, (u1, v1)), -substitute(fy, (u1, v1)), one)
-    n2 = (-substitute(fx, (u2, v2)), -substitute(fy, (u2, v2)), one)
-    half = coerce(1, mode) / 2
-    c = ((u1 - u2).scaled(half), (v1 - v2).scaled(half), (f_1 - f_2).scaled(half))
-    m = ((u1 + u2).scaled(half), (v1 + v2).scaled(half), (f_1 + f_2).scaled(half))
-
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    a1, a2 = dot(n1, c), dot(n2, c)
-    w = tuple(a1 * n2[i] + a2 * n1[i] for i in range(3))
+    sides = []
+    for u, v in ((u1, v1), (u2, v2)):
+        sides += [(u, v, substitute(f, (u, v))),
+                  (-substitute(fx, (u, v)), -substitute(fy, (u, v)), one)]
+    _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
     return LinearFormJet(
         cx=w[0].scaled(_SCALE),
         cy=w[1].scaled(_SCALE),
         cz=w[2].scaled(_SCALE),
-        c1=dot(w, m).scaled(-_SCALE),
+        c1=wm.scaled(-_SCALE),
     )
 
 

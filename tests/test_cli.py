@@ -197,6 +197,16 @@ def test_bad_point_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("direction", ["nan", "inf", "0,0", "x"])
+def test_bad_direction_is_usage_error(capsys, direction):
+    code, out, err = run_cli(
+        capsys, "invariants", "--spec", str(SPECS / "cubic_six.json"),
+        "--point", "0.01,0.02", "--direction", direction)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad direction") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # normalize
 
@@ -486,6 +496,53 @@ def test_evolute_survives_failed_pick_stencil(tmp_path, capsys, umin, umax):
         results[regularity] = json.loads(out)["results"]
     assert results["fast"]["failures"] == results["off"]["failures"]
     assert results["fast"]["csv_rows"] == results["off"]["csv_rows"]
+
+
+def test_evolute_regular_flag_wiring(tmp_path, capsys):
+    """Every CSV regular_flag is the regularity rule recomputed from the
+    row's own inputs: Pick rates along (1, 0) and (0, 1), the root's
+    simplicity and the section curvature rate.  Without the stencil the
+    column is empty."""
+    from aek.errors import AekError
+    from aek.evolute import (direction_sextic, pick_derivative,
+                             regularity_rule, section_curvature_rate)
+    from aek.frames import normalize_at
+
+    spec_path = str(SPECS / "cubic_six.json")
+    surface = cli.build_surface(load_spec(spec_path))
+    rows = {}
+    for regularity in ("fast", "off"):
+        code, _, _ = run_cli(
+            capsys, "evolute", "--spec", spec_path, "--grid", "11",
+            "--workers", "1", "--regularity", regularity,
+            "--out", str(tmp_path / regularity))
+        assert code == 0
+        rows[regularity] = [
+            line.split(",") for line in (tmp_path / regularity /
+                                         "evolute_points.csv")
+            .read_text().splitlines()[1:]]
+    assert rows["off"] and all(r[8] == "" for r in rows["off"])
+
+    def rate(point, w):
+        try:
+            return pick_derivative(surface, point, w)
+        except (AekError, ValueError, ArithmeticError):
+            return float("nan")
+
+    rates, flags = {}, set()
+    for r in rows["fast"]:
+        point, theta = (float(r[0]), float(r[1])), float(r[3])
+        if point not in rates:
+            rates[point] = (rate(point, (1, 0)), rate(point, (0, 1)))
+        frame = normalize_at(surface, point)
+        want = regularity_rule(
+            direction_sextic(frame).is_simple_root(theta),
+            section_curvature_rate(frame, (math.cos(theta),
+                                           math.sin(theta))),
+            rates[point])
+        assert r[8] == str(int(want)), r
+        flags.add(r[8])
+    assert flags == {"0", "1"}
 
 
 def test_evolute_empty_grid_usage_error(tmp_path, capsys):

@@ -17,12 +17,12 @@ from aek.evolute import (
     EvoluteSolution,
     SamplePoint,
     _label_branches,
+    compute_sample,
     direction_sextic,
     discriminant_D,
     evolute_directions,
     pick_derivative,
     pick_invariant,
-    regularity_report,
     regularity_rule,
     section_curvature_rate,
     solve_evolute_point,
@@ -365,29 +365,31 @@ def regular_fixture():
 
 
 def test_regularity_flags_good_branch():
-    report = regularity_report(regular_fixture(), (0.0, 0.0), 0.0, h=5e-5)
-    assert report.simple_root
-    assert report.mu_prime == pytest.approx(
+    sample = compute_sample(regular_fixture(), (0, 0), (0.0, 0.0),
+                            pick_directions=2)
+    sol = min(sample.solutions, key=lambda s: angle_gap(s.theta, 0.0))
+    assert sol.theta == pytest.approx(0.0, abs=1e-12)
+    assert sol.simple_root
+    assert sol.mu_prime == pytest.approx(
         40 + 320 * 0.3 ** 3 - 240 * 0.3 * 0.2, rel=1e-6)
-    assert report.mu_prime_nonzero
-    assert report.pick_rate_nonzero
-    assert report.regular
+    assert sol.regular is True
 
 
 def test_regularity_rule_needs_simple_root():
-    assert regularity_rule(True, 1.0, (float("nan"), 1.0)) == (
-        True, True, True)
-    assert regularity_rule(False, 1.0, (1.0,)) == (True, True, False)
-    assert regularity_rule(True, 1e-10, (1.0,)) == (True, False, False)
-    assert regularity_rule(True, 1.0, (float("nan"), 1e-7)) == (
-        False, True, False)
+    assert regularity_rule(True, 1.0, (float("nan"), 1.0)) is True
+    assert regularity_rule(False, 1.0, (1.0,)) is False
+    assert regularity_rule(True, 1e-10, (1.0,)) is False
+    assert regularity_rule(True, 1.0, (float("nan"), 1e-7)) is False
 
 
 def test_regularity_sphere_fails_everything():
-    report = regularity_report(sphere_surface(), (0.01, 0.0), 0.0)
-    assert not report.simple_root
-    assert abs(report.mu_prime) < 1e-9
-    assert not report.regular
+    sample = compute_sample(sphere_surface(), (0, 0), (0.01, 0.0),
+                            pick_directions=2)
+    assert sample.status == "degenerate"
+    (sol,) = sample.solutions
+    assert not sol.simple_root
+    assert abs(sol.mu_prime) < 1e-9
+    assert sol.regular is False
 
 
 def test_paraboloid_no_solution_upstream():
@@ -658,16 +660,6 @@ def test_double_root_flagged_multiple():
     roots = evolute_directions(fr)
     zero_roots = [r for r in roots.roots if angle_gap(r.theta, 0.0) < 1e-6]
     assert zero_roots and not zero_roots[0].simple
-
-
-def test_regularity_report_accepts_bare_frame():
-    fr = frame_from_coefficients(1.0, 0.0, f5=(1, 0, 0, 0, 0, 0),
-                                 mode=FLOAT)
-    report = regularity_report(fr, (0.0, 0.0), 0.0)
-    assert report.simple_root
-    assert report.mu_prime_nonzero
-    assert report.pick_rates == ()
-    assert not report.regular  # pick rate unverifiable without a surface
 
 
 def test_determinant_constant_is_recorded_convention():

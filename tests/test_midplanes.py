@@ -22,6 +22,8 @@ from aek.midplanes import (
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
+    evaluate_midplane_exact,
+    fraction_gauss_solve,
     linear_form_tables,
     midplane_taylor_oracle,
     sphere_surface,
@@ -194,6 +196,41 @@ def test_rows_match_finite_differences():
     ]
     for row, want in zip(system.rows[1:], expected):
         assert row.value(x_probe) == pytest.approx(want, abs=1e-8)
+
+
+def test_rows_are_exact_derivatives():
+    """In rational mode each row equals the derivative, at t = 0, of the
+    exact functional at the pair moved by t along the row's coordinate
+    combination.  The functional is a polynomial of degree at most 18
+    in t (order-5 heights), so 20 offsets recover it exactly; its t^19
+    coefficient must come out zero."""
+    rng = random.Random(11)
+    ts = [Fraction(k, 7) for k in range(-10, 10)]
+    vandermonde = [[t ** p for p in range(len(ts))] for t in ts]
+    moves = ((1, 0, -1, 0), (0, 1, 0, -1), (1, 0, 1, 0), (0, 1, 0, 1))
+
+    def coord():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    for _ in range(3):
+        fr = random_frame(rng, RATIONAL)
+        start = [coord() for _ in range(4)]
+        system = envelope_system(fr, ((start[0], start[1]),
+                                      (start[2], start[3])))
+        cov, const = evaluate_midplane_exact(
+            fr, ((start[0], start[1]), (start[2], start[3])))
+        assert system.rows[0].coeffs == cov and system.rows[0].rhs == -const
+        for row, move in zip(system.rows[1:], moves):
+            columns = [[] for _ in range(4)]
+            for t in ts:
+                q = [x + t * d for x, d in zip(start, move)]
+                cov, const = evaluate_midplane_exact(
+                    fr, ((q[0], q[1]), (q[2], q[3])))
+                for col, value in zip(columns, (*cov, -const)):
+                    col.append(value)
+            polys = fraction_gauss_solve(vandermonde, columns)
+            assert all(poly[-1] == 0 for poly in polys)
+            assert (*row.coeffs, row.rhs) == tuple(poly[1] for poly in polys)
 
 
 def test_paraboloid_symmetric_pair_sum_rows():
