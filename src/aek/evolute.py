@@ -124,6 +124,9 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
         max(abs(float(c)) for c in (a, b)) ** 2,
         max(abs(float(c)) for c in frame.f4),
     )
+    # an inf or NaN scale would read as an identically zero sextic
+    if not math.isfinite(coeff_scale + sum(abs(float(c)) for c in q3 + q4)):
+        raise OverflowError("direction sextic beyond the float range")
     return DirectionSextic(q3, q4, frame.mode, coeff_scale)
 
 
@@ -478,7 +481,8 @@ def compute_sample(surface: SurfaceModel, index, point,
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
     sampled along that many chart directions, and every solution gets
     its ``regular`` flag from those rates.  The point is normalized and
-    its roots are found once, and every root reuses them.
+    its roots are found once, and every root reuses them.  A float
+    overflow anywhere in the sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -486,6 +490,18 @@ def compute_sample(surface: SurfaceModel, index, point,
         status = ("non_convex" if isinstance(exc, NonConvexPointError)
                   else "error")
         return SamplePoint(index, point, status, message=str(exc))
+    try:
+        return _solve_sample(surface, index, point, frame, root_tol,
+                             solve_tol, pick_directions)
+    except OverflowError as exc:
+        return SamplePoint(index, point, "error",
+                           message=f"float overflow: {exc}")
+
+
+def _solve_sample(surface, index, point, frame, root_tol, solve_tol,
+                  pick_directions) -> SamplePoint:
+    """The roots, centers and regularity flags of one normalized
+    sample (the body of :func:`compute_sample`)."""
     rates = None
     if pick_directions:
         rates = _pick_rates(surface, point, pick_directions)
@@ -600,14 +616,15 @@ def _label_branches(samples, angle_threshold: float) -> list:
             if nb is None or nb.status != s.status:
                 continue
             pairs = sorted(
-                (0.0 if a.theta is None else angle_gap(a.theta, b.theta),
-                 k, m)
+                (gap, k, m)
                 for k, a in enumerate(s.solutions)
                 for m, b in enumerate(nb.solutions)
-                if a.theta is None or (a.simple_root and b.simple_root))
+                if a.theta is None or (a.simple_root and b.simple_root)
+                if (gap := 0.0 if a.theta is None
+                    else angle_gap(a.theta, b.theta)) < angle_threshold)
             mine, theirs = set(), set()
             for gap, k, m in pairs:
-                if gap >= angle_threshold or k in mine or m in theirs:
+                if k in mine or m in theirs:
                     continue
                 mine.add(k)
                 theirs.add(m)

@@ -587,16 +587,25 @@ def push_forward(frame: BlaschkeFrame, obj):
 
 
 def to_float_frame(frame: BlaschkeFrame) -> BlaschkeFrame:
-    """Float copy of a frame (identity on float frames)."""
+    """Float copy of a frame (identity on float frames).
+
+    A rational entry beyond the float range raises
+    :class:`NormalizationError`.
+    """
     if frame.mode == FLOAT:
         return frame
     m = frame.world_from_local
-    wfl = AffineMap3(
-        tuple(tuple(float(c) for c in row) for row in m.linear),
-        tuple(float(c) for c in m.translation),
-        FLOAT,
-    )
-    return _frame_from_jet(frame.normalized.to_float(), wfl)
+    try:
+        wfl = AffineMap3(
+            tuple(tuple(float(c) for c in row) for row in m.linear),
+            tuple(float(c) for c in m.translation),
+            FLOAT,
+        )
+        normalized = frame.normalized.to_float()
+    except OverflowError as exc:
+        raise NormalizationError(
+            f"frame has no float copy: {exc}") from None
+    return _frame_from_jet(normalized, wfl)
 
 
 def random_frame(rng: random.Random, mode: str = RATIONAL,

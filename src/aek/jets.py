@@ -14,17 +14,24 @@ a space point ``X = (x, y, z)`` whose four coefficients are ``Jet4``
 values; linearity in ``X`` is structural, not enforced by bookkeeping.
 
 Everything is immutable and mode-tagged (see :mod:`aek.scalars`):
-rational-mode arithmetic is exact.
+rational-mode arithmetic is exact.  The ring operations branch on the
+mode.  In rational mode they make no ``Fraction`` operation on a zero
+entry, and a product convolves integer numerators over one common
+denominator, the representation of FLINT's ``fmpq_poly`` (Hart, ICMS
+2010).  Float mode runs the plain per-entry loops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .scalars import FLOAT, ModeMismatchError, coerce, join_modes, zero
+from .scalars import (
+    FLOAT, RATIONAL, ModeMismatchError, coerce, join_modes, zero,
+)
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +63,44 @@ def _pair_table(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
             row.append(idx.get(s, -1))
         table.append(tuple(row))
     return tuple(table)
+
+
+def _numerators(coeffs):
+    """The nonzero entries of a rational table as (index, numerator)
+    pairs over their least common denominator, and that denominator."""
+    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
+    den = math.lcm(*(c.denominator for _, c in nonzero))
+    return [(k, c.numerator * (den // c.denominator))
+            for k, c in nonzero], den
+
+
+def _rational_product(ca, cb, table):
+    """Truncated product of two rational tables: the integer numerators
+    are convolved, and each nonzero output entry is one Fraction."""
+    na, da = _numerators(ca)
+    nb, db = _numerators(cb)
+    acc = [0] * len(ca)
+    for ia, x in na:
+        row = table[ia]
+        for ib, y in nb:
+            ic = row[ib]
+            if ic >= 0:
+                acc[ic] += x * y
+    den = da * db
+    z = Fraction(0)
+    return [Fraction(n, den) if n else z for n in acc]
+
+
+@lru_cache(maxsize=None)
+def _pair_chart_slots(order2: int, order4: int, point: int) -> tuple:
+    """(Jet2 index, Jet4 index) of each term x^i y^j of an ``order2``
+    table that an ``order4`` table keeps, as u1^i v1^j (point 0) or
+    u2^i v2^j (point 1)."""
+    idx4 = _index(4, order4)
+    return tuple(
+        (k, idx4[(i, j, 0, 0) if point == 0 else (0, 0, i, j)])
+        for k, (i, j) in enumerate(_exponents(2, order2))
+        if i + j <= order4)
 
 
 class _Jet:
@@ -172,30 +217,46 @@ class _Jet:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return type(self)(
-            self.order, self.mode,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        pairs = zip(self.coeffs, other.coeffs)
+        if self.mode == RATIONAL:
+            out = [a + b if a and b else a or b for a, b in pairs]
+        else:
+            out = [a + b for a, b in pairs]
+        return type(self)(self.order, self.mode, out)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return type(self)(
-            self.order, self.mode,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-        )
+        pairs = zip(self.coeffs, other.coeffs)
+        if self.mode == RATIONAL:
+            out = [(a - b if a else -b) if b else a for a, b in pairs]
+        else:
+            out = [a - b for a, b in pairs]
+        return type(self)(self.order, self.mode, out)
 
     def __neg__(self):
-        return type(self)(self.order, self.mode, [-a for a in self.coeffs])
+        if self.mode == RATIONAL:
+            out = [-a if a else a for a in self.coeffs]
+        else:
+            out = [-a for a in self.coeffs]
+        return type(self)(self.order, self.mode, out)
 
     def scaled(self, factor):
         f = coerce(factor, self.mode)
-        return type(self)(self.order, self.mode, [f * a for a in self.coeffs])
+        if self.mode == RATIONAL:
+            out = ([f * a if a else a for a in self.coeffs] if f
+                   else [f] * len(self.coeffs))
+        else:
+            out = [f * a for a in self.coeffs]
+        return type(self)(self.order, self.mode, out)
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return self.scaled(other)
         self._check_compatible(other)
         table = _pair_table(self.nvars, self.order)
+        if self.mode == RATIONAL:
+            return type(self)(self.order, self.mode, _rational_product(
+                self.coeffs, other.coeffs, table))
         out = [zero(self.mode)] * len(self.coeffs)
         for ia, ca in enumerate(self.coeffs):
             if not ca:
@@ -305,6 +366,22 @@ class Jet2(_Jet):
             return self
         return Jet2(self.order, FLOAT, [float(c) for c in self.coeffs])
 
+    def in_pair_chart(self, point: int, order: int) -> "Jet4":
+        """The jet as a Jet4 of the given order in the coordinates
+        (u1, v1) of the pair's first point (``point`` 0) or (u2, v2) of
+        its second (``point`` 1): x^i y^j becomes u1^i v1^j or
+        u2^i v2^j, and terms above ``order`` are dropped.
+
+        Equal to ``substitute(self, (u, v))`` with the bare Jet4
+        variables, in both modes (for finite coefficients).
+        """
+        out = [zero(self.mode)] * len(_exponents(4, order))
+        for k2, k4 in _pair_chart_slots(self.order, order, point):
+            c = self.coeffs[k2]
+            if c:
+                out[k4] = c
+        return Jet4(order, self.mode, out)
+
 
 class Jet4(_Jet):
     """Quadrivariate jet over the point-pair chart ``(u1, v1, u2, v2)``."""
@@ -315,11 +392,9 @@ class Jet4(_Jet):
 
     def graded_part(self, degree: int) -> "Jet4":
         """The homogeneous part of the given total degree."""
-        exps = _exponents(4, self.order)
-        out = [
-            c if sum(exps[k]) == degree else zero(self.mode)
-            for k, c in enumerate(self.coeffs)
-        ]
+        z = zero(self.mode)
+        out = [c if sum(e) == degree else z
+               for e, c in zip(_exponents(4, self.order), self.coeffs)]
         return Jet4(self.order, self.mode, out)
 
 

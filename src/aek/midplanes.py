@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DegeneratePairError
 from .frames import BlaschkeFrame, SurfaceModel, to_float_frame
 from .geometry import Plane3, as_direction, plane_distance
-from .jets import Jet4, LinearFormJet, substitute
+from .jets import Jet4, LinearFormJet
 from .scalars import FLOAT, RATIONAL, coerce, zero
 
 _SCALE = -2  # see module docstring
@@ -192,9 +192,10 @@ def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
     fy = f.partial("y")
     one = Jet4.constant(1, order, mode)
     sides = []
-    for u, v in ((u1, v1), (u2, v2)):
-        sides += [(u, v, substitute(f, (u, v))),
-                  (-substitute(fx, (u, v)), -substitute(fy, (u, v)), one)]
+    for point, (u, v) in enumerate(((u1, v1), (u2, v2))):
+        sides += [(u, v, f.in_pair_chart(point, order)),
+                  (-fx.in_pair_chart(point, order),
+                   -fy.in_pair_chart(point, order), one)]
     _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
     return LinearFormJet(
         cx=w[0].scaled(_SCALE),
@@ -256,17 +257,19 @@ class DirectionalForm:
             self.mode,
         )
 
-    def _cubic_jet(self, coeffs, du: Jet4, dv: Jet4) -> Jet4:
-        du2, dv2 = du * du, dv * dv
-        return ((du * du2).scaled(coeffs[0]) + (du2 * dv).scaled(coeffs[1])
-                + (du * dv2).scaled(coeffs[2]) + (dv * dv2).scaled(coeffs[3]))
-
     def as_jet(self, du: Jet4, dv: Jet4) -> LinearFormJet:
+        du2, dv2 = du * du, dv * dv
+        monomials = (du * du2, du2 * dv, du * dv2, dv * dv2)
+
+        def cubic(coeffs):
+            m0, m1, m2, m3 = (m.scaled(c) for m, c in zip(monomials, coeffs))
+            return m0 + m1 + m2 + m3
+
         return LinearFormJet(
-            cx=self._cubic_jet(self.coeff_x, du, dv),
-            cy=self._cubic_jet(self.coeff_y, du, dv),
-            cz=self._cubic_jet(self.coeff_z, du, dv),
-            c1=-self._cubic_jet(self.coeff_0, du, dv),
+            cx=cubic(self.coeff_x),
+            cy=cubic(self.coeff_y),
+            cz=cubic(self.coeff_z),
+            c1=-cubic(self.coeff_0),
         )
 
 

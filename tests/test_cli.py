@@ -470,6 +470,53 @@ def test_evolute_reports_workers_that_ran(tmp_path, capsys):
     assert json.loads(out)["diagnostics"]["workers"] == 1
 
 
+#: finite coefficients whose frames overflow floats on [-1, 1]^2
+_HUGE_FLOAT = {"2,0": 0.5, "0,2": 0.5, "3,0": 1e160, "4,0": 1e300,
+               "0,4": 1e300}
+_HUGE_RATIONAL = {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200", "4,0": "1e300"}
+
+
+@pytest.mark.parametrize("mode, coefficients, overflowed", [
+    # the center solve's row scale overflows when cubed
+    ("float", _HUGE_FLOAT, [[0, 1], [2, 1]]),
+    # the sextic's coefficient scale overflows when squared
+    ("rational", _HUGE_RATIONAL, [[1, 0], [1, 1], [1, 2]]),
+])
+def test_evolute_records_float_overflow(tmp_path, capsys, mode,
+                                        coefficients, overflowed):
+    """A sample whose float arithmetic overflows ends as an ``error``
+    failure, not as a traceback or a degenerate sample, and the run
+    goes on."""
+    path = write_spec(tmp_path, "huge.json", {
+        "coefficients": coefficients, "patch": [-1, 1, -1, 1], "mode": mode,
+    })
+    code, out, _ = run_cli(capsys, "evolute", "--spec", path, "--grid", "3",
+                           "--workers", "1", "--out", str(tmp_path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    failed = {tuple(f["index"]): f for f in results["failures"]}
+    assert [list(i) for i, f in sorted(failed.items())
+            if "float overflow" in f["message"]] == overflowed
+    assert all(f["status"] == "error" for f in failed.values())
+    assert (results["samples_ok"] + results["samples_degenerate"]
+            + len(failed)) == results["samples"] == 9
+
+
+def test_invariants_float_overflow_exit_2(tmp_path, capsys):
+    """A rational frame beyond the float range has no float copy: one
+    ``error:`` line and exit 2."""
+    path = write_spec(tmp_path, "huge.json", {
+        "coefficients": _HUGE_RATIONAL, "patch": [-1, 1, -1, 1],
+        "mode": "rational",
+    })
+    code, out, err = run_cli(capsys, "invariants", "--spec", path,
+                             "--point", "0,0")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: frame has no float copy")
+
+
 @pytest.mark.parametrize("umin, umax", [
     # the stencil's normalize_at finds the Hessian not positive definite
     (-0.18665266666666666, 0.013347333333333322),

@@ -68,6 +68,17 @@ def test_sextic_paraboloid_vanishes():
     assert all(c == 0 for c in s.q_coeffs)
 
 
+@pytest.mark.parametrize("a, f40", [
+    (0, math.inf),   # an inf scale would read as an identically zero sextic
+    (0, math.nan),
+    (1e154, 0),      # finite coefficients whose sextic leaves the range
+])
+def test_sextic_beyond_float_range_raises(a, f40):
+    fr = frame_from_coefficients(a, a, f4=(f40, 0, 0, 0, 0), mode=FLOAT)
+    with pytest.raises(OverflowError):
+        direction_sextic(fr)
+
+
 def test_sextic_antipodal_evenness():
     rng = random.Random(1)
     for _ in range(10):

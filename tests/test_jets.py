@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aek.jets import Jet2, Jet4, LinearFormJet, substitute
-from aek.scalars import FLOAT, RATIONAL, ModeMismatchError
+from aek.frames import random_frame
+from aek.jets import Jet2, Jet4, LinearFormJet, _exponents, substitute
+from aek.scalars import FLOAT, RATIONAL, ModeMismatchError, zero
 
 from oracles import sqrt_graph_series
 
@@ -291,3 +292,81 @@ def test_float_compose_tracks_rational():
             abs(float(a) - b) for a, b in zip(exact.coeffs, approx.coeffs)
         )
         assert worst <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the ring kernels against a plain per-coefficient loop
+
+_KERNEL_VALUES = {
+    RATIONAL: st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    FLOAT: st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+}
+
+
+def _sparse_jet(cls, order, mode):
+    """A table with a few nonzero entries at drawn positions."""
+    n = len(_exponents(cls.nvars, order))
+    return st.dictionaries(
+        st.integers(0, n - 1), _KERNEL_VALUES[mode], max_size=n,
+    ).map(lambda entries: cls(order, mode, [
+        entries.get(k, zero(mode)) for k in range(n)]))
+
+
+def _loop_product(p, q):
+    """The truncated product, one scalar multiply-add per pair of
+    coefficients, in table order."""
+    exps = _exponents(p.nvars, p.order)
+    out = {e: zero(p.mode) for e in exps}
+    for ea, ca in zip(exps, p.coeffs):
+        for eb, cb in zip(exps, q.coeffs):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= p.order:
+                out[e] = out[e] + ca * cb
+    return list(out.values())
+
+
+def _bits(coeffs):
+    """Coefficients compared exactly: floats by their bits, signed
+    zeros included."""
+    return [c.hex() if isinstance(c, float) else c for c in coeffs]
+
+
+@pytest.mark.parametrize("cls, order", [(Jet2, 5), (Jet4, 4)])
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ring_kernels_match_coefficient_loop(cls, order, mode, data):
+    """Sparse tables: each ring operation equals the plain loop over
+    coefficients, exactly in rational mode and bit for bit in float
+    mode (the float kernels run the loop's operations in its order)."""
+    p = data.draw(_sparse_jet(cls, order, mode))
+    q = data.draw(_sparse_jet(cls, order, mode))
+    c = data.draw(_KERNEL_VALUES[mode])
+    cases = [
+        (p * q, _loop_product(p, q)),
+        (p + q, [a + b for a, b in zip(p.coeffs, q.coeffs)]),
+        (p - q, [a - b for a, b in zip(p.coeffs, q.coeffs)]),
+        (-p, [-a for a in p.coeffs]),
+        (p.scaled(c), [c * a for a in p.coeffs]),
+    ]
+    for got, want in cases:
+        assert type(got) is cls and got.mode == mode
+        assert _bits(got.coeffs) == _bits(want)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_pair_chart_embedding_is_substitution(mode):
+    """Re-indexing a frame jet into the pair chart equals substituting
+    the bare Jet4 variables of either point, at and below the frame's
+    order."""
+    rng = random.Random(8)
+    for _ in range(8):
+        f = random_frame(rng, mode).normalized
+        for jet in (f, f.partial("x"), f.partial("y")):
+            for order in (3, 4, 5):
+                pair = [Jet4.variable(v, order, mode) for v in Jet4.varnames]
+                for point in (0, 1):
+                    want = substitute(jet, pair[2 * point:2 * point + 2])
+                    got = jet.in_pair_chart(point, order)
+                    assert got.order == order and got.mode == mode
+                    assert _bits(got.coeffs) == _bits(want.coeffs)

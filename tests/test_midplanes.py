@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from aek.errors import DegeneratePairError
-from aek.frames import SurfaceModel, frame_from_coefficients, random_frame
+from aek.frames import (
+    SurfaceModel, frame_from_coefficients, random_frame, to_float_frame,
+)
 from aek.geometry import Plane3, plane_distance
 from aek.jets import Jet4
 from aek.midplanes import (
@@ -320,6 +322,23 @@ def test_expansion_against_brute_force_oracle():
         oracle = midplane_taylor_oracle(fr, 4)
         tables = linear_form_tables(expand_mid_plane(fr, 4))
         assert oracle == tables
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_float_expansion_tracks_rational(order):
+    """Float and rational expansions run different jet kernels; on the
+    same frame they agree to within 1e-12 of the coefficient scale."""
+    rng = random.Random(21)
+    for _ in range(10):
+        fr = random_frame(rng, RATIONAL)
+        exact = expand_mid_plane(fr, order)
+        approx = expand_mid_plane(to_float_frame(fr), order)
+        assert approx.mode == FLOAT
+        scale = max(1.0, exact.max_abs())
+        for part in ("cx", "cy", "cz", "c1"):
+            e, f = getattr(exact, part), getattr(approx, part)
+            worst = max(abs(float(a) - b) for a, b in zip(e.coeffs, f.coeffs))
+            assert worst <= 1e-12 * scale, part
 
 
 def test_cubic_term_check_exact_rational():

@@ -2,9 +2,13 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -43,3 +47,15 @@ def test_reference_trace_calls_run():
             assert all(isinstance(f, bool) for f in flags)
         else:
             assert all(f is None for f in flags)
+
+
+def test_launcher_runs_rational_verify(tmp_path):
+    """The benchmark's entry point runs the ``verify-rational`` command
+    in a fresh interpreter and records exit code 0."""
+    sidecar = tmp_path / "sidecar.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(sidecar),
+         "--", "verify", "--spec", str(ROOT / "specs" / "paraboloid.json"),
+         "--mode", "rational", "--seed", "1"],
+        cwd=tmp_path, capture_output=True, timeout=300, check=False)
+    assert json.loads(sidecar.read_text())["exit_code"] == 0
