@@ -44,7 +44,7 @@ from .frames import (
     rotate_to,
     to_float_frame,
 )
-from .geometry import AtInfinity, Plane3, Quadric3, TangentDirection, plane_distance
+from .geometry import AtInfinity, Plane3, Quadric3, plane_distance
 from .invariants import (
     SectionJet,
     affine_curvature,

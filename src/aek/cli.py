@@ -50,7 +50,13 @@ from .frames import (
     random_frame,
     to_float_frame,
 )
-from .geometry import AtInfinity, Plane3, Quadric3
+from .geometry import (
+    AtInfinity,
+    Plane3,
+    Quadric3,
+    direction_pair,
+    unit_direction,
+)
 from .invariants import (
     _section_along,
     affine_curvature,
@@ -65,8 +71,7 @@ from .invariants import (
 from .midplanes import check_expansion_terms, midplane_limit_probe
 from .scalars import FLOAT, RATIONAL, coerce, format_scalar
 
-_SPEC_KEYS = {"coefficients", "patch", "mode", "grid", "tolerances"}
-_TOLERANCE_KEYS = {"root", "solve", "branch_angle"}
+_SPEC_KEYS = {"coefficients", "patch", "mode", "grid"}
 
 #: JSON schema for the report envelope (validated in the test suite).
 REPORT_SCHEMA = {
@@ -91,7 +96,6 @@ class SurfaceSpec:
     patch: tuple
     mode: str
     grid: int
-    tolerances: dict
     path: str
 
 
@@ -148,18 +152,7 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     grid = raw.get("grid", 41)
     if not isinstance(grid, int) or grid < 1:
         raise SpecFormatError("'grid' must be a positive integer")
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise SpecFormatError("'tolerances' must be an object")
-    unknown = set(tol) - _TOLERANCE_KEYS
-    if unknown:
-        raise SpecFormatError(f"unknown tolerance keys: {sorted(unknown)}")
-    defaults = {"root": 1e-9, "solve": 1e-7, "branch_angle": 0.2}
-    defaults.update({k: _number(v, FLOAT, f"tolerance {k!r}")
-                     for k, v in tol.items()})
-    if min(defaults.values()) <= 0:
-        raise SpecFormatError(f"tolerances must be positive: {tol}")
-    return SurfaceSpec(coeffs, patch, mode, grid, defaults, path)
+    return SurfaceSpec(coeffs, patch, mode, grid, path)
 
 
 def build_surface(spec: SurfaceSpec) -> SurfaceModel:
@@ -182,11 +175,8 @@ def parse_direction(text: str):
     """An angle in radians, or an explicit 'xi,eta' pair."""
     try:
         if "," in text:
-            xi, eta = (float(Fraction(p.strip())) for p in text.split(","))
-            n = math.hypot(xi, eta)
-            if n == 0:
-                raise ValueError("zero direction")
-            return xi / n, eta / n
+            return unit_direction(direction_pair(
+                Fraction(p.strip()) for p in text.split(",")))
         theta = float(text)
         if not math.isfinite(theta):
             raise ValueError("not a finite angle")
@@ -538,14 +528,8 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
     if n < 1:
         raise SpecFormatError("grid must have at least one sample")
     pick_dirs = {"off": 0, "fast": 2}[regularity]
-    trace = trace_evolute(
-        surface, grid=(n, n),
-        root_tol=spec.tolerances["root"],
-        solve_tol=spec.tolerances["solve"],
-        angle_threshold=spec.tolerances["branch_angle"],
-        workers=workers,
-        pick_directions=pick_dirs,
-    )
+    trace = trace_evolute(surface, grid=(n, n), workers=workers,
+                          pick_directions=pick_dirs)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "evolute_points.csv")
     obj_path = os.path.join(out_dir, "evolute_mesh.obj")

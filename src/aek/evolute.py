@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (
     NoSolutionError,
     NonConvexPointError,
+    NormalizationError,
     PatchBoundsError,
     RankDeficientError,
 )
@@ -34,7 +36,7 @@ from .frames import (
     to_float_frame,
     turned_coefficients,
 )
-from .geometry import AtInfinity, angle_gap, as_direction
+from .geometry import AtInfinity, angle_gap, direction_pair, unit_direction
 from .invariants import (
     SectionJet,
     affine_curvature_derivative,
@@ -44,6 +46,20 @@ from .invariants import (
 from .matutil import det3, det4, solve3
 from .midplanes import pair_sum_forms
 from .scalars import coerce
+
+# Fixed sign convention: rows (G_xi, G_eta, form_u, form_v) with the
+# right-hand sides as the fourth column give det = +(3/32)(|T|^2)^2 q.
+D_IDENTITY_CONSTANT = (3, 32)
+
+#: a direction is a root of the sextic when |q| is at most this times
+#: the sextic's coefficient scale
+ROOT_ACCEPT = 1e-9
+#: the same test in :func:`solve_evolute_point`, before it solves
+SOLVE_ROOT_CHECK = 1e-7
+#: a root is simple when |dq/dtheta| exceeds this times the scale
+SIMPLE_ROOT_THRESHOLD = 1e-6
+#: neighbour roots link into one branch only within this angle (rad)
+BRANCH_LINK_ANGLE = 0.2
 
 
 @dataclass(frozen=True)
@@ -89,13 +105,13 @@ class DirectionSextic:
         against the frame coefficients it is built from."""
         return self.scale() <= 1e-12 * self.coeff_scale
 
-    def is_simple_root(self, theta: float, simple_tol: float = 1e-6) -> bool:
+    def is_simple_root(self, theta: float) -> bool:
         """A root direction is simple when |dq/dtheta| clears
-        ``simple_tol`` times the coefficient scale; no root of an
-        identically zero sextic is simple."""
+        :data:`SIMPLE_ROOT_THRESHOLD` times the coefficient scale; no
+        root of an identically zero sextic is simple."""
         return (not self.is_identically_zero()
                 and abs(self.theta_derivative(theta))
-                > simple_tol * self.scale())
+                > SIMPLE_ROOT_THRESHOLD * self.scale())
 
 
 def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
@@ -130,11 +146,6 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
     return DirectionSextic(q3, q4, frame.mode, coeff_scale)
 
 
-# Fixed sign convention: rows (G_xi, G_eta, form_u, form_v) with the
-# right-hand sides as the fourth column give det = +(3/32)(|T|^2)^2 q.
-D_IDENTITY_CONSTANT = (3, 32)
-
-
 def _limit_rows(frame: BlaschkeFrame, xi, eta):
     """The four envelope-limit conditions at a direction, as
     (covector, rhs) pairs in the fixed row order."""
@@ -158,9 +169,7 @@ def discriminant_D(frame: BlaschkeFrame, direction):
     this convention the determinant equals
     (3/32)(xi^2+eta^2)^2 * (12 q3 + q4), positive sign.
     """
-    d = as_direction(direction, frame.mode)
-    rows = _limit_rows(frame, coerce(d.xi, frame.mode),
-                       coerce(d.eta, frame.mode))
+    rows = _limit_rows(frame, *direction_pair(direction, frame.mode))
     m = tuple((*cov, rhs) for cov, rhs in rows)
     return det4(m)
 
@@ -179,8 +188,7 @@ class DirectionRoots:
     scale: float
 
 
-def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
-                       simple_tol: float = 1e-6) -> DirectionRoots:
+def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
     """Real roots of the direction sextic on [0, pi).
 
     Roots of the dehomogenized polynomial in eta/xi come from the
@@ -204,7 +212,7 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
         for r in roots:
             if abs(r.imag) <= 1e-7 * (1.0 + abs(r)):
                 thetas.append(math.atan(r.real) % math.pi)
-    if abs(q[6]) <= tol * scale:
+    if abs(q[6]) <= ROOT_ACCEPT * scale:
         thetas.append(math.pi / 2)
 
     polished = []
@@ -217,7 +225,7 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
             if abs(step) > 0.1:
                 break
             th = (th - step) % math.pi
-        if abs(sextic.theta_value(th)) <= tol * scale:
+        if abs(sextic.theta_value(th)) <= ROOT_ACCEPT * scale:
             polished.append(th % math.pi)
 
     polished.sort()
@@ -230,7 +238,7 @@ def evolute_directions(frame: BlaschkeFrame, tol: float = 1e-9,
     roots = tuple(
         DirectionRoot(
             theta=th,
-            simple=sextic.is_simple_root(th, simple_tol),
+            simple=sextic.is_simple_root(th),
             q_derivative=sextic.theta_derivative(th),
         )
         for th in unique
@@ -262,8 +270,7 @@ class EvoluteSolution:
     regular: bool | None = None
 
 
-def solve_evolute_point(frame: BlaschkeFrame, theta: float,
-                        tol: float = 1e-7) -> EvoluteSolution:
+def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     """Solve the envelope-limit system at a root direction.
 
     The Transon form itself is discarded (it is a combination of its
@@ -275,7 +282,8 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float,
     sextic = direction_sextic(fr)
     scale = max(sextic.scale(), 1e-300)
     qv = sextic.theta_value(theta)
-    if not sextic.is_identically_zero() and abs(qv) > tol * scale:
+    if (not sextic.is_identically_zero()
+            and abs(qv) > SOLVE_ROOT_CHECK * scale):
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: |q|={abs(qv):.3e} "
             f"(scale {scale:.3e})"
@@ -356,11 +364,7 @@ def pick_derivative(surface: SurfaceModel, p0, direction_w,
     is the coefficient b >= 0 of the frame turned to kill a, whichever
     of the three such turns is taken, so no frame continuation is needed.
     """
-    wx, wy = (float(c) for c in direction_w)
-    norm = math.hypot(wx, wy)
-    if norm == 0:
-        raise ValueError("direction W must be nonzero")
-    wx, wy = wx / norm, wy / norm
+    wx, wy = unit_direction(direction_pair(direction_w))
     surface = surface.to_float()
     p0 = (float(p0[0]), float(p0[1]))
     pp = (p0[0] + h * wx, p0[1] + h * wy)
@@ -404,8 +408,7 @@ def regularity_rule(simple_root: bool, mu_prime, pick_rates) -> bool:
 
 
 #: what ``normalize_at`` raises at a point it cannot normalize
-_NORMALIZE_ERRORS = (NonConvexPointError, PatchBoundsError, ValueError,
-                     ZeroDivisionError)
+_NORMALIZE_ERRORS = (NonConvexPointError, PatchBoundsError, NormalizationError)
 
 
 def _pick_rates(surface, p0, directions: int) -> tuple:
@@ -458,8 +461,8 @@ class EvoluteBranch:
 
     @property
     def max_link_gap(self) -> float:
-        """Largest direction jump along the continuation links; bounded
-        by the matching threshold by construction."""
+        """Largest direction jump along the continuation links; below
+        :data:`BRANCH_LINK_ANGLE` by construction."""
         return max(self.link_gaps, default=0.0)
 
 
@@ -473,8 +476,6 @@ class TraceResult:
 
 
 def compute_sample(surface: SurfaceModel, index, point,
-                   root_tol: float = 1e-9,
-                   solve_tol: float = 1e-7,
                    pick_directions: int = 0) -> SamplePoint:
     """Normalize, find root directions and solve centers at one point.
 
@@ -491,49 +492,41 @@ def compute_sample(surface: SurfaceModel, index, point,
                   else "error")
         return SamplePoint(index, point, status, message=str(exc))
     try:
-        return _solve_sample(surface, index, point, frame, root_tol,
-                             solve_tol, pick_directions)
+        rates = None
+        if pick_directions:
+            rates = _pick_rates(surface, point, pick_directions)
+        droots = evolute_directions(frame)
+        sols = []
+        messages = []
+        if droots.identically_zero:
+            status = "degenerate"
+            mc = moutard_center(frame, (1.0, 0.0))
+            if isinstance(mc, AtInfinity):
+                return SamplePoint(index, point, status,
+                                   message="centers at infinity")
+            sols.append(EvoluteSolution(
+                theta=None, direction=None,
+                center_local=mc, center_world=pull_back(frame, mc),
+                residuals=None, dropped_index=None,
+                d_value=0.0, simple_root=False,
+                mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),
+                moutard_gap=None,
+            ))
+        else:
+            status = "ok"
+            for root in droots.roots:
+                try:
+                    sols.append(solve_evolute_point(frame, root.theta))
+                except (NoSolutionError, RankDeficientError) as exc:
+                    messages.append(f"theta={root.theta:.4f}: {exc}")
+        if rates is not None:
+            sols = [replace(sol, regular=regularity_rule(
+                        sol.simple_root, sol.mu_prime, rates))
+                    for sol in sols]
+        return SamplePoint(index, point, status, sols, "; ".join(messages))
     except OverflowError as exc:
         return SamplePoint(index, point, "error",
                            message=f"float overflow: {exc}")
-
-
-def _solve_sample(surface, index, point, frame, root_tol, solve_tol,
-                  pick_directions) -> SamplePoint:
-    """The roots, centers and regularity flags of one normalized
-    sample (the body of :func:`compute_sample`)."""
-    rates = None
-    if pick_directions:
-        rates = _pick_rates(surface, point, pick_directions)
-    droots = evolute_directions(frame, tol=root_tol)
-    sols = []
-    messages = []
-    if droots.identically_zero:
-        status = "degenerate"
-        mc = moutard_center(frame, (1.0, 0.0))
-        if isinstance(mc, AtInfinity):
-            return SamplePoint(index, point, status,
-                               message="centers at infinity")
-        sols.append(EvoluteSolution(
-            theta=None, direction=None,
-            center_local=mc, center_world=pull_back(frame, mc),
-            residuals=None, dropped_index=None,
-            d_value=0.0, simple_root=False,
-            mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),
-            moutard_gap=None,
-        ))
-    else:
-        status = "ok"
-        for root in droots.roots:
-            try:
-                sols.append(solve_evolute_point(frame, root.theta,
-                                                tol=solve_tol))
-            except (NoSolutionError, RankDeficientError) as exc:
-                messages.append(f"theta={root.theta:.4f}: {exc}")
-    if rates is not None:
-        sols = [replace(sol, regular=regularity_rule(
-                    sol.simple_root, sol.mu_prime, rates)) for sol in sols]
-    return SamplePoint(index, point, status, sols, "; ".join(messages))
 
 
 def grid_points(patch, shape):
@@ -547,8 +540,6 @@ def grid_points(patch, shape):
 
 
 def trace_evolute(surface: SurfaceModel, grid=(41, 41),
-                  root_tol: float = 1e-9, solve_tol: float = 1e-7,
-                  angle_threshold: float = 0.2,
                   workers: int = 1,
                   pick_directions: int = 0,
                   points=None) -> TraceResult:
@@ -573,22 +564,21 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
             ((i, j), (u, v))
             for i, u in enumerate(us) for j, v in enumerate(vs)
         ]
-    samples, ran_on = _map_samples(surface, indexed, root_tol, solve_tol,
-                                   workers, pick_directions)
+    samples, ran_on = _map_samples(surface, indexed, workers,
+                                   pick_directions)
     failures = [
         (s.index, s.point, s.status, s.message)
         for s in samples if s.status in ("non_convex", "error")
     ]
-    return TraceResult(_label_branches(samples, angle_threshold), samples,
-                       failures, ran_on)
+    return TraceResult(_label_branches(samples), samples, failures, ran_on)
 
 
-def _label_branches(samples, angle_threshold: float) -> list:
+def _label_branches(samples) -> list:
     """Label the root slots (grid index, root number) with sheets:
     two-pass labelling with union-find (Hoshen & Kopelman, 1976).
 
     A sample links its roots to those of its left and lower neighbours,
-    one to one, nearest angle gap first, within ``angle_threshold``;
+    one to one, nearest angle gap first, within :data:`BRANCH_LINK_ANGLE`;
     only simple roots link, and degenerate samples link with gap 0.  A
     merge that would put two roots of one grid point on one branch is
     refused.  Events mark a non-simple root, a root without a partner
@@ -621,7 +611,7 @@ def _label_branches(samples, angle_threshold: float) -> list:
                 for m, b in enumerate(nb.solutions)
                 if a.theta is None or (a.simple_root and b.simple_root)
                 if (gap := 0.0 if a.theta is None
-                    else angle_gap(a.theta, b.theta)) < angle_threshold)
+                    else angle_gap(a.theta, b.theta)) < BRANCH_LINK_ANGLE)
             mine, theirs = set(), set()
             for gap, k, m in pairs:
                 if k in mine or m in theirs:
@@ -674,36 +664,25 @@ def _label_branches(samples, angle_threshold: float) -> list:
     return branches
 
 
-def _sample_task(args):
-    surface, index, point, root_tol, solve_tol, pick_directions = args
-    return compute_sample(surface, index, point, root_tol, solve_tol,
-                          pick_directions)
-
-
-def _map_samples(surface, indexed, root_tol, solve_tol, workers,
-                 pick_directions=0):
+def _map_samples(surface, indexed, workers, pick_directions=0):
     """The samples, and the number of processes they ran on.
 
     A pool runs only for more than 64 samples; for fewer, or when the
     pool cannot start (OSError), the samples run serially in this
     process.
     """
+    task = partial(compute_sample, surface, pick_directions=pick_directions)
+    indices = [idx for idx, _ in indexed]
+    points = [pt for _, pt in indexed]
     if workers and workers > 1 and len(indexed) > 64:
         # imported here: a serial run then never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = [
-            (surface, idx, pt, root_tol, solve_tol, pick_directions)
-            for idx, pt in indexed
-        ]
-        chunk = max(1, len(tasks) // (workers * 4))
+        chunk = max(1, len(indexed) // (workers * 4))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_sample_task, tasks,
+                return list(pool.map(task, indices, points,
                                      chunksize=chunk)), workers
         except OSError:
             pass
-    return [
-        compute_sample(surface, idx, pt, root_tol, solve_tol, pick_directions)
-        for idx, pt in indexed
-    ], 1
+    return list(map(task, indices, points)), 1

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NonConvexPointError, NormalizationError, PatchBoundsError
-from .geometry import Plane3, Quadric3, as_direction
+from .geometry import Plane3, Quadric3, direction_pair, unit_direction
 from .jets import Jet2, substitute
 from .matutil import det3, inv3, matmul3, matvec3, transpose3
 from .scalars import (
@@ -38,6 +38,8 @@ from .scalars import (
 
 _APOLARITY_TOL = 1e-10
 _SNAP_TOL = 1e-8
+#: the load-time convexity screen samples the cell centres of an n x n grid
+_SCREEN_GRID = 5
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ class SurfaceModel:
     def mode(self) -> str:
         return self.height.mode
 
-    def _screen_convexity(self, n: int = 5):
+    def _screen_convexity(self):
+        n = _SCREEN_GRID
         umin, umax, vmin, vmax = (float(c) for c in self.patch)
         for i in range(n):
             for j in range(n):
@@ -182,11 +185,10 @@ class SurfaceModel:
                         f"({u:.4g}, {v:.4g})"
                     )
 
-    def contains(self, point, margin=0) -> bool:
+    def contains(self, point) -> bool:
         umin, umax, vmin, vmax = self.patch
         u, v = point
-        return (umin + margin <= u <= umax - margin
-                and vmin + margin <= v <= vmax - margin)
+        return umin <= u <= umax and vmin <= v <= vmax
 
     def value(self, point):
         return self.height.evaluate(point)
@@ -303,10 +305,9 @@ def _frame_from_jet(jet: Jet2, world_from_local: AffineMap3) -> BlaschkeFrame:
 
 
 def frame_from_coefficients(a, b, f4=(0, 0, 0, 0, 0), f5=(0, 0, 0, 0, 0, 0),
-                            mode: str = RATIONAL,
-                            world_from_local: AffineMap3 | None = None
-                            ) -> BlaschkeFrame:
-    """Build a frame directly from normal-form coefficients.
+                            mode: str = RATIONAL) -> BlaschkeFrame:
+    """Build a frame directly from normal-form coefficients, with the
+    identity as its world map.
 
     ``f4`` lists (f40, f31, f22, f13, f04); ``f5`` lists
     (f50, f41, f32, f23, f14, f05).  This is the entry point for
@@ -329,9 +330,7 @@ def frame_from_coefficients(a, b, f4=(0, 0, 0, 0, 0), f5=(0, 0, 0, 0, 0, 0),
         if c:
             terms[(5 - i, i)] = terms.get((5 - i, i), zero(mode)) + coerce(c, mode)
     jet = Jet2.from_terms(terms, 5, mode)
-    if world_from_local is None:
-        world_from_local = AffineMap3.identity(mode)
-    return _frame_from_jet(jet, world_from_local)
+    return _frame_from_jet(jet, AffineMap3.identity(mode))
 
 
 def _sym_inv_sqrt2(h00, h01, h11, mode: str):
@@ -507,11 +506,7 @@ def _turn(frame: BlaschkeFrame, direction):
     mode, and the rotation taking the chart turned onto it back to the
     frame's own local chart."""
     mode = frame.mode
-    d = as_direction(direction, mode)
-    if mode == RATIONAL:
-        xi, eta = d.exact_unit()
-    else:
-        xi, eta = d.unit()
+    xi, eta = unit_direction(direction_pair(direction, mode), mode)
     o, z = one(mode), zero(mode)
     back = AffineMap3(
         ((xi, -eta, z), (eta, xi, z), (z, z, o)), (z, z, z), mode

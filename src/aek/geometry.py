@@ -1,4 +1,4 @@
-"""Shared geometric value types: planes, quadrics, tangent directions.
+"""Shared geometric values: planes, quadrics, tangent directions.
 
 Planes and quadrics are projective objects; comparisons go through a
 max-component canonical form so tests and convergence probes are
@@ -138,48 +138,25 @@ class Quadric3:
         return max(abs(float(c)) for row in self.matrix for c in row)
 
 
-class TangentDirection:
-    """Direction ``(xi, eta)`` in a tangent chart."""
-
-    __slots__ = ("xi", "eta", "mode")
-
-    def __init__(self, xi, eta, mode: str = FLOAT):
-        xi = coerce(xi, mode)
-        eta = coerce(eta, mode)
-        if not xi and not eta:
-            raise ValueError("zero vector is not a direction")
-        self.xi = xi
-        self.eta = eta
-        self.mode = mode
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "TangentDirection":
-        return cls(math.cos(theta), math.sin(theta), FLOAT)
-
-    def norm_squared(self):
-        return self.xi * self.xi + self.eta * self.eta
-
-    def unit(self) -> tuple[float, float]:
-        n = math.hypot(float(self.xi), float(self.eta))
-        return float(self.xi) / n, float(self.eta) / n
-
-    def exact_unit(self):
-        """(xi, eta) scaled to exact unit length; rational mode may fail."""
-        n2 = self.norm_squared()
-        n = sqrt_scalar(n2, self.mode)
-        return self.xi / n, self.eta / n
-
-    def __repr__(self):
-        return f"TangentDirection({self.xi}, {self.eta})"
+def direction_pair(direction, mode: str = FLOAT):
+    """A tangent direction (xi, eta) as scalars of ``mode``; (0, 0) is
+    not a direction."""
+    xi, eta = (coerce(c, mode) for c in direction)
+    if not xi and not eta:
+        raise ValueError("zero vector is not a direction")
+    return xi, eta
 
 
-def as_direction(obj, mode: str = FLOAT) -> TangentDirection:
-    if isinstance(obj, TangentDirection):
-        return obj
-    if isinstance(obj, (int, float)):
-        return TangentDirection.from_angle(float(obj))
-    xi, eta = obj
-    return TangentDirection(xi, eta, mode)
+def unit_direction(direction, mode: str = FLOAT):
+    """A pair from :func:`direction_pair` scaled to unit length: by
+    ``math.hypot`` in float mode, by the exact square root in rational
+    mode, which may not exist."""
+    xi, eta = direction
+    if mode == FLOAT:
+        n = math.hypot(xi, eta)
+    else:
+        n = sqrt_scalar(xi * xi + eta * eta, mode)
+    return xi / n, eta / n
 
 
 def angle_gap(t1: float, t2: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateConeError
 from .frames import BlaschkeFrame, rotate_to, turned_coefficients
-from .geometry import AtInfinity, Plane3, Quadric3, as_direction
+from .geometry import AtInfinity, Plane3, Quadric3, direction_pair
 from .jets import Jet2, substitute
 from .scalars import coerce, zero
 
@@ -28,11 +28,6 @@ class SectionJet:
     a4: object
     a5: object
     mode: str
-
-
-def _direction_scalars(frame: BlaschkeFrame, direction):
-    d = as_direction(direction, frame.mode)
-    return coerce(d.xi, frame.mode), coerce(d.eta, frame.mode)
 
 
 def section_projection(frame: BlaschkeFrame, lam) -> SectionJet:
@@ -59,7 +54,7 @@ def section_projection(frame: BlaschkeFrame, lam) -> SectionJet:
 
 def transon_plane(frame: BlaschkeFrame, direction) -> Plane3:
     """Plane of affine normals of all sections through the direction."""
-    xi, eta = _direction_scalars(frame, direction)
+    xi, eta = direction_pair(direction, frame.mode)
     n2 = xi * xi + eta * eta
     return Plane3(
         (xi * n2 / 2, eta * n2 / 2, frame.cubic_value(xi, eta)),
@@ -75,7 +70,7 @@ def transon_gradients(frame: BlaschkeFrame, direction):
     Their common line is the ruling of the cone swept by the Transon
     planes as the direction varies.
     """
-    xi, eta = _direction_scalars(frame, direction)
+    xi, eta = direction_pair(direction, frame.mode)
     a, b = frame.a, frame.b
     f3_xi = 3 * a * (xi * xi - eta * eta) - 6 * b * xi * eta
     f3_eta = -6 * a * xi * eta + 3 * b * (eta * eta - xi * xi)

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePairError
 from .frames import BlaschkeFrame, SurfaceModel, to_float_frame
-from .geometry import Plane3, as_direction, plane_distance
+from .geometry import Plane3, direction_pair, plane_distance, unit_direction
 from .jets import Jet4, LinearFormJet
 from .scalars import FLOAT, RATIONAL, coerce, zero
 
 _SCALE = -2  # see module docstring
+#: float noise floor of a probe distance
+_NOISE_FLOOR = 1e-14
 
 
 def _as_surface(target) -> SurfaceModel:
@@ -380,11 +382,11 @@ class ProbeReport:
     @property
     def converged(self) -> bool:
         return self.fitted_order >= 0.9 or all(
-            d <= 1e-14 for d in self.distances
+            d <= _NOISE_FLOOR for d in self.distances
         )
 
 
-def fit_order(t_values, distances, floor: float = 1e-14) -> float:
+def fit_order(t_values, distances) -> float:
     """Least-squares slope of log(distance) against log(t).
 
     Distances at or below the float noise floor are excluded; if all
@@ -394,7 +396,7 @@ def fit_order(t_values, distances, floor: float = 1e-14) -> float:
     pts = [
         (math.log(float(t)), math.log(float(d)))
         for t, d in zip(t_values, distances)
-        if d > floor
+        if d > _NOISE_FLOOR
     ]
     if len(pts) < 2:
         return math.inf
@@ -418,8 +420,7 @@ def midplane_limit_probe(frame: BlaschkeFrame, direction, t_values) -> ProbeRepo
     """
     from .invariants import transon_plane
 
-    d = as_direction(direction, FLOAT)
-    xi, eta = d.unit()
+    xi, eta = unit_direction(direction_pair(direction))
     frame_f = to_float_frame(frame)
     target = transon_plane(frame_f, (xi, eta)).to_float()
     distances = []
@@ -436,19 +437,17 @@ def midplane_limit_probe(frame: BlaschkeFrame, direction, t_values) -> ProbeRepo
     )
 
 
-def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values,
-                         center=(0.3, -0.2)) -> dict:
+def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values) -> dict:
     """Convergence of the scaled envelope rows to their limit forms.
 
-    Pairs have difference t*(xi, eta) and sum t*center, so every row
+    Pairs have difference t*(xi, eta) and sum t*(0.3, -0.2), so every row
     has a nonzero limit generically.  Rows 2-3 scale by t^2 toward
     twice the Transon gradients; rows 4-5 scale by t^3 toward twice
     the pair-sum forms.
     """
     from .invariants import transon_gradients
 
-    d = as_direction(direction, FLOAT)
-    xi, eta = d.unit()
+    xi, eta = unit_direction(direction_pair(direction))
     frame_f = to_float_frame(frame)
     g_xi, g_eta = transon_gradients(frame_f, (xi, eta))
     form_u, form_v = pair_sum_forms(frame_f)
@@ -461,7 +460,7 @@ def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values,
     rows_distances = [[] for _ in range(4)]
     for t in t_values:
         t = float(t)
-        cu, cv = center[0] * t / 2, center[1] * t / 2
+        cu, cv = 0.3 * t / 2, -0.2 * t / 2
         p1 = (cu + t * xi / 2, cv + t * eta / 2)
         p2 = (cu - t * xi / 2, cv - t * eta / 2)
         system = envelope_system(frame_f, (p1, p2))

@@ -49,15 +49,22 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "bogus" in err
 
 
-@pytest.mark.parametrize("key", ["residual", "simple"])
-def test_unread_tolerance_keys_rejected(tmp_path, capsys, key):
+@pytest.mark.parametrize("argv", [["normalize"], ["evolute", "--grid", "3"]],
+                         ids=["normalize", "evolute"])
+@pytest.mark.parametrize("value", [{}, {"root": 1e-9}, "abc"],
+                         ids=["empty", "root", "string"])
+def test_tolerances_block_rejected(tmp_path, capsys, argv, value):
+    """The root, solve and branch thresholds are fixed constants, so a
+    spec that still holds ``tolerances`` has an unknown key."""
     path = write_spec(tmp_path, "tol.json", {
-        "coefficients": {"2,0": 1}, "patch": [-1, 1, -1, 1],
-        "tolerances": {key: 1e-6},
+        "coefficients": {"2,0": 1, "0,2": 1}, "patch": [-1, 1, -1, 1],
+        "tolerances": value,
     })
-    code, _, err = run_cli(capsys, "normalize", "--spec", path)
-    assert code == 1
-    assert "unknown tolerance keys" in err
+    code, out, err = run_cli(capsys, argv[0], "--spec", path, *argv[1:],
+                             "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tolerances" in err
 
 
 def test_bad_coefficient_key_rejected(tmp_path, capsys):
@@ -92,11 +99,11 @@ def test_rational_strings_parse(tmp_path):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"tolerances": {"root": "abc"}}, "tolerance 'root'"),
-    ({"tolerances": {"root": None}}, "tolerance 'root'"),
-    ({"tolerances": {"branch_angle": -1}}, "must be positive"),
-    ({"tolerances": {"solve": float("inf")}}, "not a finite number"),
-    ({"tolerances": {"root": 10 ** 400}}, "tolerance 'root'"),
+    ({"grid": 0}, "'grid' must be a positive integer"),
+    ({"mode": "complex"}, "unknown mode"),
+    ({"patch": [-1, 1, -1]}, "'patch' must be [umin, umax, vmin, vmax]"),
+    ({"coefficients": {"-1,2": 1}}, "is not 'i,j' with i,j >= 0"),
+    ({"coefficients": [1, 2]}, "'coefficients' must be an object"),
     ({"patch": [0.1, -0.1, -0.1, 0.1]}, "umin < umax"),
     ({"patch": [-0.1, 0.1, 0.2, 0.2]}, "vmin < vmax"),
     ({"patch": [-float("inf"), float("inf"), -1, 1]}, "not a finite"),
@@ -161,8 +168,6 @@ _NEAR_VALID = st.fixed_dictionaries({
           st.sampled_from([1, 0.1, "1/2"])] * 2).map(list),
 }, optional={
     "mode": st.sampled_from(["float", "rational"]),
-    "tolerances": st.dictionaries(
-        st.sampled_from(["root", "solve", "branch_angle"]), _NUMBERS),
 })
 # any JSON under the spec keys; exponent keys stay at degree 6 or below,
 # so every example is cheap
@@ -172,7 +177,6 @@ _ARBITRARY = st.fixed_dictionaries({}, optional={
     "patch": _JSON,
     "mode": _JSON,
     "grid": _JSON,
-    "tolerances": _JSON,
 })
 _SPECS = _NEAR_VALID | _ARBITRARY
 

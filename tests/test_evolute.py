@@ -1,9 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from aek.cli import build_surface, load_spec
 from aek.errors import NoSolutionError
 from aek.frames import (
     SurfaceModel,
@@ -11,9 +14,11 @@ from aek.frames import (
     normalize_at,
     random_frame,
     rotate_frame,
+    to_float_frame,
 )
 from aek.geometry import AtInfinity, angle_gap
 from aek.evolute import (
+    SIMPLE_ROOT_THRESHOLD,
     EvoluteSolution,
     SamplePoint,
     _label_branches,
@@ -28,12 +33,13 @@ from aek.evolute import (
     solve_evolute_point,
     trace_evolute,
 )
-from aek.invariants import su_cone_direction
+from aek.invariants import moutard_center, su_cone_direction
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import PYTHAGOREAN_DIRECTIONS, sphere_surface
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 SPHERE_F4 = (Fraction(1, 8), 0, Fraction(1, 4), 0, Fraction(1, 8))
 
 
@@ -247,6 +253,41 @@ def test_solutions_match_moutard_center_sweep():
         assert sol.moutard_gap < 1e-10
         scale = max(1.0, max(abs(c) for c in sol.center_local))
         assert max(sol.residuals) < 1e-10 * scale
+        checked += 1
+
+
+def _relative_gap(exact, approx):
+    """Largest component gap over the largest exact component."""
+    scale = max(abs(c) for c in exact)
+    return float(max(abs(e - Fraction(a)) for e, a in zip(exact, approx))
+                 / scale)
+
+
+@pytest.mark.parametrize("theta, slot, direction", [
+    (0.0, 1, (1, 0)),           # f31 = 12ab kills the xi^6 coefficient
+    (math.pi / 2, 3, (0, 1)),   # f13 = 12ab kills the eta^6 coefficient
+], ids=["theta_0", "theta_pi_2"])
+def test_float_center_tracks_exact_moutard_center(theta, slot, direction):
+    """On rational frames with an exact sextic root at theta, the float
+    center solve and the float Moutard center both match the exact
+    Moutard center to round-off."""
+    rng = random.Random(23)
+    checked = 0
+    while checked < 100:
+        a, b, *rest = (Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                       for _ in range(13))
+        f4 = rest[:5]
+        f4[slot] = 12 * a * b
+        fr = frame_from_coefficients(a, b, f4=f4, f5=rest[5:], mode=RATIONAL)
+        assert direction_sextic(fr).evaluate(*direction) == 0
+        exact = moutard_center(fr, direction)
+        if isinstance(exact, AtInfinity):
+            continue
+        sol = solve_evolute_point(fr, theta)
+        assert _relative_gap(exact, sol.center_local) <= 1e-12
+        float_center = moutard_center(to_float_frame(fr),
+                                      tuple(map(float, direction)))
+        assert _relative_gap(exact, float_center) <= 1e-12
         checked += 1
 
 
@@ -479,7 +520,7 @@ def test_label_branches_refuses_two_roots_of_one_point():
                     [_root(th, simple=idx != (2, 0)) for th in thetas])
         for idx, thetas in sorted(roots.items())
     ]
-    branches = _label_branches(samples, angle_threshold=0.2)
+    branches = _label_branches(samples)
     assert [[(bs.index, bs.solution.theta) for bs in b.samples]
             for b in branches] == [
         [((0, 0), 0.1), ((0, 1), 0.0), ((1, 0), 0.15), ((1, 1), 0.0)],
@@ -495,6 +536,46 @@ def test_label_branches_refuses_two_roots_of_one_point():
     ]
     assert branches[0].max_link_gap == pytest.approx(0.1)
     assert branches[1].link_gaps == branches[2].link_gaps == ()
+
+
+def test_simple_root_threshold_clears_the_four_six_transition():
+    """On cubic_six 21x21 the root count changes 6 <-> 4 along a curve.
+    At the six-root samples next to a four-root one, the roots about to
+    merge are still far from non-simple: the smallest |dq/dtheta| is
+    5.5e-3 of the scale, over 5000 times SIMPLE_ROOT_THRESHOLD, so the
+    threshold does not misfire there."""
+    surface = build_surface(load_spec(str(SPECS / "cubic_six.json")))
+    res = trace_evolute(surface, grid=21, pick_directions=0)
+    by_index = {s.index: s for s in res.samples}
+    counts = [len(s.solutions) for s in res.samples if s.status == "ok"]
+    assert (counts.count(6), counts.count(4), len(res.samples)) == (
+        319, 122, 441)
+    assert all(sol.simple_root for s in res.samples for sol in s.solutions)
+    ratios = []
+    for s in res.samples:
+        (i, j), roots = s.index, len(s.solutions)
+        neighbours = ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
+        if roots == 6 and any(len(by_index[n].solutions) == 4
+                              for n in neighbours if n in by_index):
+            sextic = direction_sextic(normalize_at(surface, s.point))
+            ratios += [(abs(sextic.theta_derivative(sol.theta))
+                        / sextic.scale(), s.index) for sol in s.solutions]
+    assert len({index for _, index in ratios}) == 45
+    smallest, at = min(ratios)
+    assert smallest > 1e-3 and SIMPLE_ROOT_THRESHOLD == 1e-6
+    assert at in ((20, 6), (20, 14))
+    event = re.compile(r"(.*) at \(\d+, \d+\)(?:, (\d+) times)?")
+    events = sorted((b.branch_id, m[1], int(m[2] or 1)) for b in res.branches
+                    for m in map(event.fullmatch, b.events))
+    assert events == [
+        (0, "refused merge with branch 4", 2),
+        (1, "root count 6 -> 4", 34),
+        (2, "refused merge with branch 5", 2),
+        (4, "refused merge with branch 0", 2),
+        (4, "root count 6 -> 4", 38),
+        (5, "refused merge with branch 2", 2),
+        (5, "root count 6 -> 4", 38),
+    ]
 
 
 def test_trace_parallel_matches_serial():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aek.errors import DegenerateConeError
-from aek.frames import frame_from_coefficients, random_frame
+from aek.frames import frame_from_coefficients, random_frame, to_float_frame
 from aek.geometry import AtInfinity, Plane3
 from aek.invariants import (
     SectionJet,
@@ -331,6 +331,22 @@ def test_centers_agree_on_rational_rotations():
     fr = generic_frame()
     for d in PYTHAGOREAN_DIRECTIONS:
         assert center_of_affine_curvature(fr, d) == moutard_center(fr, d)
+
+
+def test_float_moutard_center_tracks_exact():
+    rng = random.Random(29)
+    for _ in range(100):
+        fr = random_frame(rng, RATIONAL)
+        fr_float = to_float_frame(fr)
+        for d in PYTHAGOREAN_DIRECTIONS:
+            exact = moutard_center(fr, d)
+            approx = moutard_center(fr_float, tuple(map(float, d)))
+            if isinstance(exact, AtInfinity):
+                assert isinstance(approx, AtInfinity) and approx == exact
+                continue
+            scale = max(abs(c) for c in exact)
+            assert max(abs(float(e) - a)
+                       for e, a in zip(exact, approx)) <= 1e-12 * scale
 
 
 def test_centers_agree_random_sweep():
