@@ -32,6 +32,7 @@ from .errors import (
     SpecFormatError,
 )
 from .evolute import (
+    D_IDENTITY_CONSTANT,
     direction_sextic,
     discriminant_D,
     evolute_directions,
@@ -365,6 +366,7 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     add("euler-relation", euler_worst < 1e-12, {"max_residual": euler_worst})
 
     # determinant identity against the direction sextic
+    num, den = D_IDENTITY_CONSTANT
     det_worst = 0.0
     det_exact = True
     for _ in range(100):
@@ -375,15 +377,14 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
         xi, eta = direction
         d_val = discriminant_D(fr, (xi, eta))
         s = direction_sextic(fr)
-        expected = (xi * xi + eta * eta) ** 2 * s.evaluate(xi, eta) * 3
-        expected = expected / 32 if mode == FLOAT else expected / Fraction(32)
+        expected = (xi * xi + eta * eta) ** 2 * s.evaluate(xi, eta) * num / den
         if d_val != expected:
             det_exact = False
         scale = max(1.0, abs(float(expected)))
         det_worst = max(det_worst, abs(float(d_val - expected)) / scale)
     add("determinant-identity", det_worst < 1e-9,
         {"max_relative_residual": det_worst,
-         "exact": det_exact and mode == RATIONAL, "sign": "+3/32"})
+         "exact": det_exact and mode == RATIONAL, "sign": f"+{num}/{den}"})
 
     # Moutard center vs center of affine curvature
     cc_worst = 0.0
@@ -523,6 +524,8 @@ def write_evolute_obj(path: str, trace) -> tuple[int, int]:
 
 def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
                 workers: int, regularity: str) -> tuple[str, int]:
+    if workers < 1:
+        raise SpecFormatError(f"--workers must be at least 1, got {workers}")
     surface = build_surface(spec)
     n = grid if grid is not None else spec.grid
     if n < 1:

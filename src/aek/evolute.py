@@ -54,8 +54,6 @@ D_IDENTITY_CONSTANT = (3, 32)
 #: a direction is a root of the sextic when |q| is at most this times
 #: the sextic's coefficient scale
 ROOT_ACCEPT = 1e-9
-#: the same test in :func:`solve_evolute_point`, before it solves
-SOLVE_ROOT_CHECK = 1e-7
 #: a root is simple when |dq/dtheta| exceeds this times the scale
 SIMPLE_ROOT_THRESHOLD = 1e-6
 #: neighbour roots link into one branch only within this angle (rad)
@@ -66,21 +64,14 @@ BRANCH_LINK_ANGLE = 0.2
 class DirectionSextic:
     """Homogeneous degree-6 direction polynomial q = 12*q3 + q4.
 
-    Coefficient tuples list (xi^6, xi^5 eta, ..., eta^6).  q3 collects
-    the cubic-form contributions, q4 the quartic ones.  Evenness in the
+    ``q_coeffs`` lists (xi^6, xi^5 eta, ..., eta^6).  q3 collects the
+    cubic-form contributions, q4 the quartic ones.  Evenness in the
     direction is structural, so roots come in antipodal pairs.
     """
 
-    q3_coeffs: tuple
-    q4_coeffs: tuple
-    mode: str
+    q_coeffs: tuple
     #: max(1, max(|a|, |b|)^2, max |f4|) of the frame the sextic came from
     coeff_scale: float
-
-    @property
-    def q_coeffs(self) -> tuple:
-        return tuple(12 * c3 + c4 for c3, c4 in
-                     zip(self.q3_coeffs, self.q4_coeffs))
 
     def evaluate(self, xi, eta):
         return binary_form(self.q_coeffs, xi, eta)
@@ -104,6 +95,13 @@ class DirectionSextic:
         """Every direction is a root: the sextic is at round-off level
         against the frame coefficients it is built from."""
         return self.scale() <= 1e-12 * self.coeff_scale
+
+    def is_root(self, theta: float) -> bool:
+        """|q| at the direction is at most :data:`ROOT_ACCEPT` times the
+        scale; every direction is a root of an identically zero
+        sextic."""
+        return (self.is_identically_zero()
+                or abs(self.theta_value(theta)) <= ROOT_ACCEPT * self.scale())
 
     def is_simple_root(self, theta: float) -> bool:
         """A root direction is simple when |dq/dtheta| clears
@@ -143,7 +141,8 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
     # an inf or NaN scale would read as an identically zero sextic
     if not math.isfinite(coeff_scale + sum(abs(float(c)) for c in q3 + q4)):
         raise OverflowError("direction sextic beyond the float range")
-    return DirectionSextic(q3, q4, frame.mode, coeff_scale)
+    return DirectionSextic(
+        tuple(12 * c3 + c4 for c3, c4 in zip(q3, q4)), coeff_scale)
 
 
 def _limit_rows(frame: BlaschkeFrame, xi, eta):
@@ -225,7 +224,7 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
             if abs(step) > 0.1:
                 break
             th = (th - step) % math.pi
-        if abs(sextic.theta_value(th)) <= ROOT_ACCEPT * scale:
+        if sextic.is_root(th):
             polished.append(th % math.pi)
 
     polished.sort()
@@ -258,7 +257,6 @@ class EvoluteSolution:
     """
 
     theta: float
-    direction: tuple
     center_local: object
     center_world: object
     residuals: tuple | None
@@ -277,16 +275,17 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     gradients); of the remaining four conditions the best-conditioned
     three are solved and the fourth residual recorded.  The result is
     cross-checked against the Moutard center, which it must equal.
+    Where the four conditions have rank below 3, the center is at
+    infinity exactly when the Moutard center is, along its direction;
+    otherwise :class:`RankDeficientError` is raised.
     """
     fr = to_float_frame(frame)
     sextic = direction_sextic(fr)
-    scale = max(sextic.scale(), 1e-300)
-    qv = sextic.theta_value(theta)
-    if (not sextic.is_identically_zero()
-            and abs(qv) > SOLVE_ROOT_CHECK * scale):
+    if not sextic.is_root(theta):
         raise NoSolutionError(
-            f"direction {theta:.6f} is not a root: |q|={abs(qv):.3e} "
-            f"(scale {scale:.3e})"
+            f"direction {theta:.6f} is not a root: "
+            f"|q|={abs(sextic.theta_value(theta)):.3e} "
+            f"(scale {sextic.scale():.3e})"
         )
     xi, eta = math.cos(theta), math.sin(theta)
     rows = _limit_rows(fr, xi, eta)
@@ -307,28 +306,16 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     mc = moutard_center(fr, (xi, eta))
 
     if abs(best_det) <= 1e-12 * max(row_scale, 1.0) ** 3:
-        a = np.array(mat, dtype=float)
-        bvec = np.array(rhs, dtype=float)
-        _, lsq_residual, _, _ = np.linalg.lstsq(a, bvec, rcond=None)
-        inconsistent = (
-            lsq_residual.size > 0
-            and float(lsq_residual[0]) > (1e-10 * max(row_scale, 1.0)) ** 2
-        )
-        if isinstance(mc, AtInfinity) or inconsistent:
-            target = mc if isinstance(mc, AtInfinity) \
-                else AtInfinity((0.0, 0.0, 1.0))
-            return EvoluteSolution(
-                theta=theta, direction=(xi, eta),
-                center_local=target,
-                center_world=AtInfinity(
-                    pull_back_direction(fr, target.direction)
-                ),
-                residuals=None, dropped_index=None,
-                d_value=d_value, simple_root=simple,
-                mu_prime=mu_prime, moutard_gap=None,
+        if not isinstance(mc, AtInfinity):
+            raise RankDeficientError(
+                f"envelope-limit matrix rank below 3 at theta={theta:.6f}"
             )
-        raise RankDeficientError(
-            f"envelope-limit matrix rank below 3 at theta={theta:.6f}"
+        return EvoluteSolution(
+            theta=theta, center_local=mc,
+            center_world=AtInfinity(pull_back_direction(fr, mc.direction)),
+            residuals=None, dropped_index=None,
+            d_value=d_value, simple_root=simple,
+            mu_prime=mu_prime, moutard_gap=None,
         )
 
     keep_idx = [i for i in range(4) if i != best_drop]
@@ -342,8 +329,7 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
         denom = max(1.0, max(abs(c) for c in mc))
         gap = max(abs(p - q) for p, q in zip(x, mc)) / denom
     return EvoluteSolution(
-        theta=theta, direction=(xi, eta),
-        center_local=x,
+        theta=theta, center_local=x,
         center_world=pull_back(fr, x),
         residuals=residuals, dropped_index=best_drop,
         d_value=d_value, simple_root=simple,
@@ -363,6 +349,9 @@ def pick_derivative(surface: SurfaceModel, p0, direction_w,
     Central finite difference along the chart line through p0.  |kappa|
     is the coefficient b >= 0 of the frame turned to kill a, whichever
     of the three such turns is taken, so no frame continuation is needed.
+    Both stencil points are checked against the patch before either is
+    normalized, so a stencil that leaves the patch costs no
+    normalization.
     """
     wx, wy = unit_direction(direction_pair(direction_w))
     surface = surface.to_float()
@@ -505,8 +494,7 @@ def compute_sample(surface: SurfaceModel, index, point,
                 return SamplePoint(index, point, status,
                                    message="centers at infinity")
             sols.append(EvoluteSolution(
-                theta=None, direction=None,
-                center_local=mc, center_world=pull_back(frame, mc),
+                theta=None, center_local=mc, center_world=pull_back(frame, mc),
                 residuals=None, dropped_index=None,
                 d_value=0.0, simple_root=False,
                 mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),

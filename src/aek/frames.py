@@ -171,15 +171,13 @@ class SurfaceModel:
     def _screen_convexity(self):
         n = _SCREEN_GRID
         umin, umax, vmin, vmax = (float(c) for c in self.patch)
+        partials = [p.to_float() for p in (self._hxx, self._hxy, self._hyy)]
         for i in range(n):
             for j in range(n):
                 u = umin + (i + 0.5) * (umax - umin) / n
                 v = vmin + (j + 0.5) * (vmax - vmin) / n
-                hxx = float(self._hxx.evaluate((u, v)) if self.mode == FLOAT
-                            else self._hxx.to_float().evaluate((u, v)))
-                hxy = float(self._hxy.to_float().evaluate((u, v)))
-                hyy = float(self._hyy.to_float().evaluate((u, v)))
-                if hxx <= 0 or hxx * hyy - hxy * hxy <= 0:
+                if _not_positive_definite(
+                        *(p.evaluate((u, v)) for p in partials)):
                     raise NonConvexPointError(
                         f"height Hessian not positive definite near "
                         f"({u:.4g}, {v:.4g})"
@@ -217,54 +215,73 @@ class SurfaceModel:
         )
 
 
+def _normal_form_terms(mode: str) -> dict:
+    """The coefficients of degree <= 2 of a jet in normal form: those of
+    (x^2 + y^2)/2."""
+    half = coerce(1, mode) / 2
+    z = zero(mode)
+    return {(0, 0): z, (1, 0): z, (0, 1): z,
+            (2, 0): half, (1, 1): z, (0, 2): half}
+
+
+def _apolarity_pair(jet: Jet2) -> tuple:
+    """(3 f30 + f12, 3 f03 + f21), zero exactly when the cubic part of
+    the jet is apolar."""
+    return (3 * jet.coefficient(3, 0) + jet.coefficient(1, 2),
+            3 * jet.coefficient(0, 3) + jet.coefficient(2, 1))
+
+
 @dataclass(frozen=True)
 class BlaschkeFrame:
     """Normalized order-5 jet plus the world bookkeeping map.
 
     Invariants: the jet has no constant or linear part, quadratic part
     exactly (x^2 + y^2)/2, and the cubic part is apolar, i.e.
-    3*f30 + f12 = 0 and 3*f03 + f21 = 0 (exact in rational mode).
+    3*f30 + f12 = 0 and 3*f03 + f21 = 0 (exact in rational mode).  The
+    coefficients a, b, f4 and f5 are read from the jet on first use.
     """
 
     normalized: Jet2
     world_from_local: AffineMap3
-    a: object
-    b: object
-    f4: tuple
-    f50: object
 
     def __post_init__(self):
         jet = self.normalized
         if jet.order != 5:
             raise ValueError("frame jet must have order 5")
-        mode = jet.mode
-        half = coerce(1, mode) / 2
-        checks = [
-            (jet.coefficient(0, 0), 0),
-            (jet.coefficient(1, 0), 0),
-            (jet.coefficient(0, 1), 0),
-            (jet.coefficient(2, 0), half),
-            (jet.coefficient(1, 1), 0),
-            (jet.coefficient(0, 2), half),
-        ]
-        ap1 = 3 * jet.coefficient(3, 0) + jet.coefficient(1, 2)
-        ap2 = 3 * jet.coefficient(0, 3) + jet.coefficient(2, 1)
-        if mode == RATIONAL:
-            for got, want in checks:
-                if got != want:
-                    raise ValueError("jet is not in normal form")
-            if ap1 != 0 or ap2 != 0:
-                raise ValueError("cubic part is not apolar")
-        else:
-            for got, want in checks:
-                if abs(got - float(want)) > _APOLARITY_TOL:
-                    raise ValueError("jet is not in normal form")
-            if abs(ap1) > _APOLARITY_TOL or abs(ap2) > _APOLARITY_TOL:
-                raise ValueError(f"apolarity residual too large: {ap1}, {ap2}")
+        # exact on Fractions, to a tolerance on floats
+        tol = 0 if jet.mode == RATIONAL else _APOLARITY_TOL
+        for e, want in _normal_form_terms(jet.mode).items():
+            if abs(jet.coefficient(*e) - want) > tol:
+                raise ValueError("jet is not in normal form")
+        ap1, ap2 = _apolarity_pair(jet)
+        if abs(ap1) > tol or abs(ap2) > tol:
+            raise ValueError(f"apolarity residual too large: {ap1}, {ap2}")
 
     @property
     def mode(self) -> str:
         return self.normalized.mode
+
+    @cached_property
+    def a(self):
+        return self.normalized.coefficient(3, 0)
+
+    @cached_property
+    def b(self):
+        return self.normalized.coefficient(0, 3)
+
+    @cached_property
+    def f4(self) -> tuple:
+        """(f40, f31, f22, f13, f04)."""
+        return tuple(self.normalized.coefficient(4 - i, i) for i in range(5))
+
+    @cached_property
+    def f5(self) -> tuple:
+        """(f50, f41, f32, f23, f14, f05)."""
+        return tuple(self.normalized.coefficient(5 - i, i) for i in range(6))
+
+    @property
+    def f50(self):
+        return self.f5[0]
 
     @property
     def f30(self):
@@ -280,28 +297,12 @@ class BlaschkeFrame:
 
     @property
     def apolarity_residuals(self):
-        jet = self.normalized
-        return (
-            3 * jet.coefficient(3, 0) + jet.coefficient(1, 2),
-            3 * jet.coefficient(0, 3) + jet.coefficient(2, 1),
-        )
+        return _apolarity_pair(self.normalized)
 
     def cubic_value(self, xi, eta):
         """The cubic form along a tangent direction."""
         return (self.a * (xi**3 - 3 * xi * eta**2)
                 + self.b * (eta**3 - 3 * eta * xi**2))
-
-
-def _frame_from_jet(jet: Jet2, world_from_local: AffineMap3) -> BlaschkeFrame:
-    f4 = tuple(jet.coefficient(4 - i, i) for i in range(5))
-    return BlaschkeFrame(
-        normalized=jet,
-        world_from_local=world_from_local,
-        a=jet.coefficient(3, 0),
-        b=jet.coefficient(0, 3),
-        f4=f4,
-        f50=jet.coefficient(5, 0),
-    )
 
 
 def frame_from_coefficients(a, b, f4=(0, 0, 0, 0, 0), f5=(0, 0, 0, 0, 0, 0),
@@ -317,31 +318,27 @@ def frame_from_coefficients(a, b, f4=(0, 0, 0, 0, 0), f5=(0, 0, 0, 0, 0, 0),
     check_mode(mode)
     a = coerce(a, mode)
     b = coerce(b, mode)
-    half = coerce(1, mode) / 2
-    terms = {
-        (2, 0): half, (0, 2): half,
-        (3, 0): a, (1, 2): -3 * a,
-        (0, 3): b, (2, 1): -3 * b,
-    }
-    for i, c in enumerate(f4):
-        if c:
-            terms[(4 - i, i)] = terms.get((4 - i, i), zero(mode)) + coerce(c, mode)
-    for i, c in enumerate(f5):
-        if c:
-            terms[(5 - i, i)] = terms.get((5 - i, i), zero(mode)) + coerce(c, mode)
-    jet = Jet2.from_terms(terms, 5, mode)
-    return _frame_from_jet(jet, AffineMap3.identity(mode))
+    terms = _normal_form_terms(mode)
+    terms.update({(3, 0): a, (1, 2): -3 * a, (0, 3): b, (2, 1): -3 * b})
+    for k, row in ((4, f4), (5, f5)):
+        terms.update(((k - i, i), c) for i, c in enumerate(row) if c)
+    return BlaschkeFrame(Jet2.from_terms(terms, 5, mode),
+                         AffineMap3.identity(mode))
+
+
+def _not_positive_definite(h00, h01, h11) -> bool:
+    """True when h00 <= 0 or det <= 0, so the symmetric matrix
+    [[h00, h01], [h01, h11]] is not positive definite; exact on
+    Fractions.  A NaN entry gives False, so a float overflow is not
+    reported as a non-convex point."""
+    return h00 <= 0 or h00 * h11 - h01 * h01 <= 0
 
 
 def _sym_inv_sqrt2(h00, h01, h11, mode: str):
     """Inverse of the symmetric positive square root of a 2x2 SPD matrix."""
+    if _not_positive_definite(h00, h01, h11):
+        raise NonConvexPointError("Hessian not positive definite")
     det = h00 * h11 - h01 * h01
-    if mode == RATIONAL:
-        if h00 <= 0 or det <= 0:
-            raise NonConvexPointError("Hessian not positive definite")
-    else:
-        if float(h00) <= 0 or float(det) <= 0:
-            raise NonConvexPointError("Hessian not positive definite")
     if not h01:
         r0 = sqrt_scalar(h00, mode)
         r1 = sqrt_scalar(h11, mode)
@@ -379,11 +376,7 @@ def _snap_normal_form(jet: Jet2) -> Jet2:
     """Replace the (numerically tiny) low-order residue with exact values."""
     mode = jet.mode
     scale = max(jet.max_abs(), 1.0)
-    half = coerce(1, mode) / 2
-    wanted = {
-        (0, 0): zero(mode), (1, 0): zero(mode), (0, 1): zero(mode),
-        (2, 0): half, (1, 1): zero(mode), (0, 2): half,
-    }
+    wanted = _normal_form_terms(mode)
     terms = {}
     for e, c in jet.terms():
         if e in wanted:
@@ -449,8 +442,7 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
         ((s00, s01, z), (s01, s11, z), (z, z, o)), (z, z, z), mode
     )
 
-    alpha = -(3 * h.coefficient(3, 0) + h.coefficient(1, 2)) / 2
-    beta = -(3 * h.coefficient(0, 3) + h.coefficient(2, 1)) / 2
+    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
     h = _graph_shear(h, alpha, beta)
     map3 = AffineMap3(
         ((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z), mode
@@ -459,7 +451,7 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     if mode == FLOAT:
         h = _snap_normal_form(h)
     world_from_local = map1.compose(map2).compose(map3)
-    return _frame_from_jet(h, world_from_local)
+    return BlaschkeFrame(h, world_from_local)
 
 
 def rotate_frame(frame: BlaschkeFrame, theta: float | None = None, *,
@@ -496,9 +488,8 @@ def rotate_frame(frame: BlaschkeFrame, theta: float | None = None, *,
     old_from_new = AffineMap3(
         ((c, s, z), (-s, c, z), (z, z, o)), (z, z, z), mode
     )
-    return _frame_from_jet(
-        rotated, frame.world_from_local.compose(old_from_new)
-    )
+    return BlaschkeFrame(rotated,
+                         frame.world_from_local.compose(old_from_new))
 
 
 def _turn(frame: BlaschkeFrame, direction):
@@ -547,13 +538,12 @@ def turned_coefficients(frame: BlaschkeFrame, direction):
     f4 = frame.f4
     f4_x = binary_form([(4 - i) * c for i, c in enumerate(f4[:4])], xi, eta)
     f4_y = binary_form([i * c for i, c in enumerate(f4) if i], xi, eta)
-    f5 = [frame.normalized.coefficient(5 - i, i) for i in range(6)]
     coeffs = (
         frame.cubic_value(xi, eta),
         frame.cubic_value(-eta, xi),
         binary_form(f4, xi, eta),
         -eta * f4_x + xi * f4_y,
-        binary_form(f5, xi, eta),
+        binary_form(frame.f5, xi, eta),
     )
     return coeffs, back
 
@@ -600,7 +590,7 @@ def to_float_frame(frame: BlaschkeFrame) -> BlaschkeFrame:
     except OverflowError as exc:
         raise NormalizationError(
             f"frame has no float copy: {exc}") from None
-    return _frame_from_jet(normalized, wfl)
+    return BlaschkeFrame(normalized, wfl)
 
 
 def random_frame(rng: random.Random, mode: str = RATIONAL,

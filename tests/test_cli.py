@@ -1,11 +1,13 @@
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial
 
 import aek.cli as cli
 import aek.midplanes as midplanes
@@ -461,6 +463,54 @@ def test_evolute_regularity_full_is_usage_error(tmp_path, capsys):
         "--grid", "3", "--out", str(tmp_path), "--regularity", "full",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    code, out, err = run_cli(
+        capsys, "evolute", "--spec", str(SPECS / "cubic_six.json"),
+        "--grid", "3", "--workers", workers, "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--workers" in err
+    assert not any(tmp_path.iterdir())
+
+
+def interior_pocket_spec() -> dict:
+    """phi = v^2/2 + F(u) on [-1, 1]^2, with F(0) = F'(0) = 0 and
+    F'' = 1 - 1000 prod (u - c)^2 over the abscissae c of the 5x5
+    convexity screen's cell centres: F'' = 1 at every cell centre, but
+    F'' = -0.129 at u = +-0.6 and -90.4 at u = +-1."""
+    centres = polynomial.polyfromroots([0.0, 0.4, -0.4, 0.8, -0.8])
+    f2 = polynomial.polysub([1.0], 1000 * polynomial.polymul(centres,
+                                                             centres))
+    coefficients = {f"{i},0": float(c)
+                    for i, c in enumerate(polynomial.polyint(f2, 2)) if c}
+    coefficients["0,2"] = 0.5
+    return {"coefficients": coefficients, "patch": [-1, 1, -1, 1]}
+
+
+def test_interior_non_convex_columns_missed_by_the_screen(tmp_path, capsys):
+    """The spec passes the load-time screen, and the grid columns where
+    F'' < 0 end as ``non_convex`` failures, not as an abort, with the
+    same report and CSV from 1 and from 2 workers."""
+    path = write_spec(tmp_path, "pocket.json", interior_pocket_spec())
+    runs = {}
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        code, out, _ = run_cli(
+            capsys, "evolute", "--spec", path, "--grid", "11",
+            "--workers", workers, "--out", str(out_dir))
+        assert code == 0
+        runs[workers] = (json.loads(out)["results"],
+                         (out_dir / "evolute_points.csv").read_bytes())
+    results = runs["1"][0]
+    assert results["samples_ok"] == 77
+    assert results["samples_degenerate"] == 0
+    assert {f["status"] for f in results["failures"]} == {"non_convex"}
+    columns = Counter(round(f["point"][0], 9) for f in results["failures"])
+    assert columns == {-1.0: 11, -0.6: 11, 0.6: 11, 1.0: 11}
+    assert runs["2"] == runs["1"]
 
 
 def test_evolute_reports_workers_that_ran(tmp_path, capsys):

@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 from aek.cli import build_surface, load_spec
-from aek.errors import NoSolutionError
+from aek.errors import NoSolutionError, RankDeficientError
 from aek.frames import (
+    AffineMap3,
+    BlaschkeFrame,
     SurfaceModel,
     frame_from_coefficients,
     normalize_at,
+    pull_back_direction,
     random_frame,
     rotate_frame,
     to_float_frame,
@@ -59,9 +62,8 @@ def test_sextic_pure_cubic_case():
     fr = cubic_frame(Fraction(1, 2))
     s = direction_sextic(fr)
     a2 = Fraction(1, 4)
-    assert s.q3_coeffs == (0, 3 * a2, 0, -10 * a2, 0, 3 * a2, 0)
-    assert s.q4_coeffs == (0, 0, 0, 0, 0, 0, 0)
-    assert s.q_coeffs == (0, 36 * a2, 0, -120 * a2, 0, 36 * a2, 0)
+    assert s.q_coeffs == tuple(12 * c for c in
+                               (0, 3 * a2, 0, -10 * a2, 0, 3 * a2, 0))
 
 
 def test_sextic_sphere_vanishes():
@@ -217,6 +219,63 @@ def test_solve_pure_cubic_closed_form():
 def test_solve_rejects_non_root():
     with pytest.raises(NoSolutionError):
         solve_evolute_point(cubic_frame(), 0.1)
+
+
+def test_solve_accepts_only_what_the_root_search_accepts():
+    """|q|/scale = 1e-8 is above ROOT_ACCEPT (1e-9), so the direction is
+    no root, for the solve as for the root search."""
+    fr = cubic_frame()
+    s = direction_sextic(fr)
+    # q(theta) = 36 theta + O(theta^3) near 0, and the scale is 120
+    theta = 1e-8 * s.scale() / 36
+    assert abs(s.theta_value(theta)) / s.scale() == pytest.approx(1e-8)
+    assert not s.is_root(theta)
+    with pytest.raises(NoSolutionError):
+        solve_evolute_point(fr, theta)
+
+
+def test_rank_deficient_solve_with_finite_moutard_center_raises():
+    """A root whose four conditions have rank below 3 while the Moutard
+    center is finite has no center to report."""
+    fr = frame_from_coefficients(
+        7043.757169560442, 0,
+        f4=(-1860544314.8900309, 0, -446530635.57360744, 0,
+            223265317.78680372),
+        mode=FLOAT)
+    assert direction_sextic(fr).is_root(0.0)
+    assert not isinstance(moutard_center(fr, (1.0, 0.0)), AtInfinity)
+    with pytest.raises(RankDeficientError):
+        solve_evolute_point(fr, 0.0)
+
+
+def _paraboloid_frame():
+    surface = build_surface(load_spec(str(SPECS / "paraboloid.json")))
+    return normalize_at(surface, (Fraction(3, 10), Fraction(-1, 5)))
+
+
+def _sheared_frame():
+    """a = 1 and f40 = 5/2, so 2 f40 - 5 a^2 = 0: the Moutard quadric
+    of (1, 0) is a paraboloid, with its axis along (-2, 0, 1); the world
+    map is a general affine map."""
+    fr = frame_from_coefficients(1, 0, f4=(Fraction(5, 2), 0, 0, 0, 0))
+    m = [[Fraction(c) for c in row] for row in
+         ((2, 1, Fraction(1, 3)), (0, 1, -1), (1, 0, 3))]
+    return BlaschkeFrame(fr.normalized,
+                         AffineMap3(m, (1, 2, 3), RATIONAL))
+
+
+@pytest.mark.parametrize("make_frame, theta", [
+    (_paraboloid_frame, 0.4), (_sheared_frame, 0.0)])
+def test_center_at_infinity_is_the_moutard_direction(make_frame, theta):
+    """A root whose center is at infinity reports the Moutard center's
+    direction, pulled back to the world chart."""
+    fr = to_float_frame(make_frame())
+    sol = solve_evolute_point(fr, theta)
+    mc = moutard_center(fr, (math.cos(theta), math.sin(theta)))
+    assert isinstance(mc, AtInfinity)
+    assert sol.center_local.direction == mc.direction
+    assert (sol.center_world.direction
+            == pull_back_direction(fr, mc.direction))
 
 
 def test_solve_sphere_any_direction():
@@ -502,7 +561,7 @@ def test_trace_collects_nonconvex_corner():
 
 def _root(theta, simple=True):
     return EvoluteSolution(
-        theta=theta, direction=None, center_local=(0.0, 0.0, 0.0),
+        theta=theta, center_local=(0.0, 0.0, 0.0),
         center_world=(0.0, 0.0, 0.0), residuals=None, dropped_index=None,
         d_value=0.0, simple_root=simple, mu_prime=0.0, moutard_gap=None,
     )

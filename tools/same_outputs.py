@@ -29,12 +29,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: (file name, source spec, rotation in rad) of the spec inputs
+#: (file name, source, rotation in rad) of the spec inputs; the source
+#: is a file under ``specs/`` or the spec body itself
 SPECS = (
     ("paraboloid.json", "paraboloid.json", None),
     ("cubic_six.json", "cubic_six.json", None),
     ("sphere.json", "sphere.json", None),
     ("cubic_six_turned.json", "cubic_six.json", 0.77),
+    # finite coefficients whose frames overflow floats, some of them in
+    # the center solve's rank test
+    ("huge_float.json", {
+        "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1e160,
+                         "4,0": 1e300, "0,4": 1e300},
+        "patch": [-1, 1, -1, 1], "mode": "float"}, None),
+    ("huge_rational.json", {
+        "coefficients": {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200",
+                         "4,0": "1e300"},
+        "patch": [-1, 1, -1, 1], "mode": "rational"}, None),
+    # phi = v^2/2 + F(u), F'' = 1 - 1000 prod (u - c)^2 over
+    # c in {0, +-0.4, +-0.8}: convex at the load screen's cell centres,
+    # not at u = +-0.6 and u = +-1
+    ("interior_pocket.json", {
+        "coefficients": {"2,0": 0.5, "4,0": -0.8738133333333341,
+                         "6,0": 5.461333333333336, "8,0": -15.08571428571429,
+                         "10,0": 17.77777777777778,
+                         "12,0": -7.575757575757575, "0,2": 0.5},
+        "patch": [-1, 1, -1, 1]}, None),
 )
 
 #: the checked commands; the word after ``--spec`` names a file of SPECS
@@ -57,18 +77,23 @@ COMMANDS = (
     "evolute --spec sphere.json --grid 9 --regularity fast --workers 1",
     "evolute --spec sphere.json --grid 9 --regularity off --workers 1",
     "evolute --spec paraboloid.json --grid 9 --workers 1",
+    "evolute --spec huge_float.json --grid 3 --workers 1",
+    "evolute --spec huge_rational.json --grid 3 --workers 1",
+    "evolute --spec interior_pocket.json --grid 11 --workers 1",
+    "evolute --spec interior_pocket.json --grid 11 --workers 2",
 )
 
 
 def write_specs(dest: Path) -> None:
-    """The spec inputs under ``dest``; the turned spec is written with
-    the benchmark's own ``rotate_coefficients``."""
+    """The spec inputs under ``dest``, each written as JSON; the turned
+    spec is rotated with the benchmark's own ``rotate_coefficients``."""
     found = importlib.util.spec_from_file_location(
         "_perfbench_run", ROOT / "perfbench" / "run.py")
     run = sys.modules[found.name] = importlib.util.module_from_spec(found)
     found.loader.exec_module(run)
     for name, source, phi in SPECS:
-        body = json.loads((ROOT / "specs" / source).read_text())
+        body = (dict(source) if isinstance(source, dict)
+                else json.loads((ROOT / "specs" / source).read_text()))
         if phi is not None:
             body["coefficients"] = run.rotate_coefficients(
                 body["coefficients"], phi)
