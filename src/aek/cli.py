@@ -526,10 +526,10 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
                 workers: int, regularity: str) -> tuple[str, int]:
     if workers < 1:
         raise SpecFormatError(f"--workers must be at least 1, got {workers}")
-    surface = build_surface(spec)
     n = grid if grid is not None else spec.grid
     if n < 1:
         raise SpecFormatError("grid must have at least one sample")
+    surface = build_surface(spec)
     pick_dirs = {"off": 0, "fast": 2}[regularity]
     trace = trace_evolute(surface, grid=(n, n), workers=workers,
                           pick_directions=pick_dirs)

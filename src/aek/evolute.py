@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-import numpy as np
-
 from .errors import (
     NoSolutionError,
     NonConvexPointError,
@@ -45,6 +43,7 @@ from .invariants import (
 )
 from .matutil import det3, det4, solve3
 from .midplanes import pair_sum_forms
+from .realroots import integer_coefficients, unit_roots
 from .scalars import coerce
 
 # Fixed sign convention: rows (G_xi, G_eta, form_u, form_v) with the
@@ -182,67 +181,50 @@ class DirectionRoot:
 
 @dataclass(frozen=True)
 class DirectionRoots:
+    """The distinct real root directions of a direction sextic, in
+    ascending theta on [0, pi), each once whatever its multiplicity; no
+    roots when the sextic is identically zero."""
+
     identically_zero: bool
     roots: tuple
     scale: float
 
 
 def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
-    """Real roots of the direction sextic on [0, pi).
+    """Real roots of the direction sextic on [0, pi), certified.
 
-    Roots of the dehomogenized polynomial in eta/xi come from the
-    companion-matrix eigenvalues, the vertical direction is checked
-    separately, and every root gets one round of angular Newton
-    polish.  Simplicity is :meth:`DirectionSextic.is_simple_root`.
+    The sextic's coefficients are exact rationals (a float is one), so
+    its integer multiple is split at the axes and diagonals: a direction
+    theta in {0, pi/4, pi/2, 3pi/4} is a root exactly when q vanishes
+    there, and the roots on each open arc between them are the roots in
+    (0, 1) of one of q(1, x), q(x, 1), q(-x, 1), q(1, -x), isolated
+    exactly by :func:`realroots.unit_roots` and refined in float.  No
+    root is dropped; roots closer together than the float resolution of
+    theta share one theta and are reported once.  Simplicity is
+    :meth:`DirectionSextic.is_simple_root`.
     """
     sextic = direction_sextic(frame)
-    q = [float(c) for c in sextic.q_coeffs]
     scale = sextic.scale()
     if sextic.is_identically_zero():
         return DirectionRoots(True, (), scale)
 
-    thetas = []
-    # dehomogenize: p(m) = q(1, m), m = eta/xi
-    pcoeffs = q[:]  # ascending in m
-    while pcoeffs and abs(pcoeffs[-1]) <= 1e-13 * scale:
-        pcoeffs.pop()
-    if len(pcoeffs) > 1:
-        roots = np.polynomial.polynomial.polyroots(np.array(pcoeffs))
-        for r in roots:
-            if abs(r.imag) <= 1e-7 * (1.0 + abs(r)):
-                thetas.append(math.atan(r.real) % math.pi)
-    if abs(q[6]) <= ROOT_ACCEPT * scale:
-        thetas.append(math.pi / 2)
-
-    polished = []
-    for th in thetas:
-        for _ in range(3):
-            dq = sextic.theta_derivative(th)
-            if abs(dq) <= 1e-14 * scale:
-                break
-            step = sextic.theta_value(th) / dq
-            if abs(step) > 0.1:
-                break
-            th = (th - step) % math.pi
-        if sextic.is_root(th):
-            polished.append(th % math.pi)
-
-    polished.sort()
-    unique = []
-    for th in polished:
-        if all(angle_gap(th, seen) > 1e-7 for seen in unique):
-            unique.append(th)
-    unique = unique[:6]
-
-    roots = tuple(
+    q = integer_coefficients(sextic.q_coeffs)
+    flip = [c if k % 2 == 0 else -c for k, c in enumerate(q)]
+    thetas = [theta for theta, value in (
+        (0.0, q[0]), (math.pi / 4, sum(q)),
+        (math.pi / 2, q[6]), (3 * math.pi / 4, sum(flip))) if value == 0]
+    thetas += [math.atan(x) for x in unit_roots(q)]
+    thetas += [math.atan2(1.0, x) for x in unit_roots(q[::-1])]
+    thetas += [math.atan2(1.0, -x) for x in unit_roots(flip[::-1])]
+    thetas += [math.pi - math.atan(x) for x in unit_roots(flip)]
+    return DirectionRoots(False, tuple(
         DirectionRoot(
             theta=th,
             simple=sextic.is_simple_root(th),
             q_derivative=sextic.theta_derivative(th),
         )
-        for th in unique
-    )
-    return DirectionRoots(False, roots, scale)
+        for th in sorted({th % math.pi for th in thetas})
+    ), scale)
 
 
 @dataclass(frozen=True)

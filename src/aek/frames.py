@@ -16,6 +16,7 @@ as a diagnostic instead).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,10 @@ from .scalars import (
     zero,
 )
 
-_APOLARITY_TOL = 1e-10
-_SNAP_TOL = 1e-8
+#: a float jet is in normal form when every residual (its terms of degree
+#: <= 2 against (x^2 + y^2)/2, and the apolarity pair) is at most this
+#: times the jet's scale, max(1, largest |coefficient|)
+_FORM_TOL = 1e-8
 #: the load-time convexity screen samples the cell centres of an n x n grid
 _SCREEN_GRID = 5
 
@@ -224,6 +227,15 @@ def _normal_form_terms(mode: str) -> dict:
             (2, 0): half, (1, 1): z, (0, 2): half}
 
 
+def _form_tolerance(jet: Jet2):
+    """The largest residual a jet in normal form may carry: none on
+    Fractions, and on floats :data:`_FORM_TOL` times the jet's scale,
+    since round-off grows with the coefficients."""
+    if jet.mode == RATIONAL:
+        return 0
+    return _FORM_TOL * max(jet.max_abs(), 1.0)
+
+
 def _apolarity_pair(jet: Jet2) -> tuple:
     """(3 f30 + f12, 3 f03 + f21), zero exactly when the cubic part of
     the jet is apolar."""
@@ -248,8 +260,7 @@ class BlaschkeFrame:
         jet = self.normalized
         if jet.order != 5:
             raise ValueError("frame jet must have order 5")
-        # exact on Fractions, to a tolerance on floats
-        tol = 0 if jet.mode == RATIONAL else _APOLARITY_TOL
+        tol = _form_tolerance(jet)
         for e, want in _normal_form_terms(jet.mode).items():
             if abs(jet.coefficient(*e) - want) > tol:
                 raise ValueError("jet is not in normal form")
@@ -373,14 +384,19 @@ def _graph_shear(h: Jet2, alpha, beta) -> Jet2:
 
 
 def _snap_normal_form(jet: Jet2) -> Jet2:
-    """Replace the (numerically tiny) low-order residue with exact values."""
+    """Replace the (numerically tiny) low-order residue with exact values.
+
+    A jet with an inf or NaN coefficient overflowed, and has no residue
+    to judge: ValueError."""
+    if not all(map(math.isfinite, jet.coeffs)):
+        raise ValueError("float overflow: a jet coefficient is inf or NaN")
     mode = jet.mode
-    scale = max(jet.max_abs(), 1.0)
+    tol = _form_tolerance(jet)
     wanted = _normal_form_terms(mode)
     terms = {}
     for e, c in jet.terms():
         if e in wanted:
-            if abs(float(c) - float(wanted[e])) > _SNAP_TOL * scale:
+            if abs(float(c) - float(wanted[e])) > tol:
                 raise NonConvexPointError(
                     f"normalization failed to reach normal form at {e}: {c}"
                 )

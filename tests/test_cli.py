@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -476,6 +479,68 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not any(tmp_path.iterdir())
 
 
+def test_empty_grid_is_checked_before_the_geometry(tmp_path, capsys):
+    """``--grid 0`` is a usage error (exit 1) even on a saddle, whose
+    convexity screen would end the run with exit 2."""
+    path = write_spec(tmp_path, "saddle.json", {
+        "coefficients": {"2,0": 0.5, "0,2": -0.5}, "patch": [-1, 1, -1, 1],
+    })
+    code, _, err = run_cli(capsys, "evolute", "--spec", path, "--grid", "3",
+                           "--workers", "1", "--out", str(tmp_path / "3"))
+    assert code == 2 and err.startswith("geometry error: ")
+    code, out, err = run_cli(capsys, "evolute", "--spec", path, "--grid",
+                             "0", "--out", str(tmp_path / "0"))
+    assert code == 1 and out == ""
+    assert err == "error: grid must have at least one sample\n"
+    assert not (tmp_path / "0").exists()
+
+
+#: runs ``aek.cli.main`` on argv with a finder that refuses numpy, so an
+#: import of it in this process or in a forked pool worker fails the
+#: command, then checks that numpy never reached ``sys.modules``
+_WITHOUT_NUMPY = """
+import sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy imported")
+
+sys.meta_path.insert(0, RefuseNumpy())
+from aek.cli import main
+
+code = main(sys.argv[1:])
+assert "numpy" not in sys.modules
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolute", "--spec", str(SPECS / "cubic_six.json"), "--grid", "9",
+     "--regularity", "off", "--workers", "1"],
+    ["evolute", "--spec", str(SPECS / "cubic_six.json"), "--grid", "9",
+     "--regularity", "off", "--workers", "2"],
+    ["verify", "--spec", str(SPECS / "paraboloid.json"), "--mode",
+     "rational", "--seed", "1"],
+], ids=["evolute-1", "evolute-2", "verify-rational"])
+def test_commands_run_without_numpy(tmp_path, argv):
+    """numpy is a test dependency only: no command imports it, and the
+    2-worker run really uses its pool."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if argv[0] == "evolute":
+        assert report["diagnostics"]["workers"] == int(argv[-1])
+        assert report["results"]["samples_ok"] == 81
+    else:
+        assert report["results"]["all_passed"]
+
+
 def interior_pocket_spec() -> dict:
     """phi = v^2/2 + F(u) on [-1, 1]^2, with F(0) = F'(0) = 0 and
     F'' = 1 - 1000 prod (u - c)^2 over the abscissae c of the 5x5
@@ -531,8 +596,9 @@ _HUGE_RATIONAL = {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200", "4,0": "1e300"}
 
 
 @pytest.mark.parametrize("mode, coefficients, overflowed", [
-    # the center solve's row scale overflows when cubed
-    ("float", _HUGE_FLOAT, [[0, 1], [2, 1]]),
+    # the center solve's row scale overflows when cubed; the frames of
+    # the column u = 0 overflow
+    ("float", _HUGE_FLOAT, [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]),
     # the sextic's coefficient scale overflows when squared
     ("rational", _HUGE_RATIONAL, [[1, 0], [1, 1], [1, 2]]),
 ])
@@ -571,10 +637,24 @@ def test_invariants_float_overflow_exit_2(tmp_path, capsys):
     assert err.startswith("error: frame has no float copy")
 
 
+def test_normalize_overflowed_float_frame_exit_2(tmp_path, capsys):
+    """A float frame whose jet overflows is refused as an overflow, not
+    printed with NaN and Infinity and not blamed on apolarity."""
+    path = write_spec(tmp_path, "huge.json", {
+        "coefficients": _HUGE_FLOAT, "patch": [-1, 1, -1, 1],
+    })
+    code, out, err = run_cli(capsys, "normalize", "--spec", path,
+                             "--point", "0,0")
+    assert code == 2 and out == ""
+    assert err == ("error: cannot normalize at (0.0, 0.0): float overflow: "
+                   "a jet coefficient is inf or NaN\n")
+
+
 @pytest.mark.parametrize("umin, umax", [
     # the stencil's normalize_at finds the Hessian not positive definite
     (-0.18665266666666666, 0.013347333333333322),
-    # the stencil's frame misses apolarity (ValueError)
+    # the stencil's frames carry apolarity residuals of 1e-10, which
+    # the float normal-form tolerance takes as round-off
     (-0.18648666666666663, 0.01351333333333335),
 ])
 def test_evolute_survives_failed_pick_stencil(tmp_path, capsys, umin, umax):

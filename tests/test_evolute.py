@@ -4,7 +4,11 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aek.cli import build_surface, load_spec
 from aek.errors import NoSolutionError, RankDeficientError
@@ -29,6 +33,7 @@ from aek.evolute import (
     direction_sextic,
     discriminant_D,
     evolute_directions,
+    grid_points,
     pick_derivative,
     pick_invariant,
     regularity_rule,
@@ -197,6 +202,209 @@ def test_roots_stable_under_antipodal_flip():
     assert len(a_roots) == len(b_roots)
     for x, y in zip(a_roots, b_roots):
         assert angle_gap(x, y) < 1e-7
+
+
+M = sympy.Symbol("m")
+
+
+def oracle_directions(frame) -> list:
+    """sympy's distinct real root directions of the sextic, as mpmath
+    angles in [0, pi): the real roots of q(1, m), counted by
+    ``count_roots`` on the square-free part and located by ``nroots`` to
+    30 digits, and the vertical when q6 = 0."""
+    q = [sympy.Rational(*c.as_integer_ratio())
+         for c in direction_sextic(frame).q_coeffs]
+    poly = sympy.Poly(list(reversed(q)), M)
+    roots = []
+    if poly.degree() > 0:
+        square_free = poly.sqf_part()
+        roots = [r for r in square_free.nroots(n=30, maxsteps=200)
+                 if r.is_real]
+        assert len(roots) == square_free.count_roots()
+    with mpmath.workdps(30):
+        thetas = [mpmath.atan(mpmath.mpf(str(r))) % mpmath.pi
+                  for r in roots]
+        return sorted(thetas + [mpmath.pi / 2] * (q[6] == 0))
+
+
+def clusters(thetas, gap=1e-12) -> int:
+    """The number of groups of sorted angles, a group ending where the
+    next angle is more than ``gap`` away, around the circle of
+    directions."""
+    if not thetas:
+        return 0
+    breaks = sum(float(b - a) > gap for a, b in zip(thetas, thetas[1:]))
+    wraps = float(thetas[0] + mpmath.pi - thetas[-1]) > gap
+    return max(1, breaks + wraps)
+
+
+def check_roots_against_oracle(frame, exact_count: bool):
+    """The roots are the oracle's directions, each found once; with
+    ``exact_count``, one root per exact direction, else one per group
+    of exact directions within 1e-12 of each other."""
+    out = evolute_directions(frame)
+    assume(not out.identically_zero)
+    want = oracle_directions(frame)
+    thetas = [r.theta for r in out.roots]
+    if exact_count:
+        assert len(thetas) == len(want)
+    else:
+        assert clusters(thetas) == clusters(want)
+    assert thetas == sorted(set(thetas))
+    assert all(0 <= t < math.pi for t in thetas)
+    for t in thetas:
+        assert min(angle_gap(t, float(w)) for w in want) < 1e-12
+    sextic = direction_sextic(to_float_frame(frame))
+    assert all(sextic.is_root(t) for t in thetas)
+
+
+_RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+#: nroots does not converge on coefficients hundreds of decades apart;
+#: those frames are in test_roots_at_the_float_resolution_of_theta
+_FLOAT = st.floats(min_value=-1e3, max_value=1e3).filter(
+    lambda x: x == 0 or abs(x) >= 1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_RATIONAL, min_size=7, max_size=7))
+def test_root_count_matches_sympy_on_rational_frames(c):
+    check_roots_against_oracle(
+        frame_from_coefficients(c[0], c[1], f4=c[2:], mode=RATIONAL), True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FLOAT, min_size=7, max_size=7))
+def test_root_count_matches_sympy_on_float_frames(c):
+    """A float sextic is an exact rational polynomial, and its roots are
+    counted as such."""
+    check_roots_against_oracle(
+        frame_from_coefficients(c[0], c[1], f4=c[2:], mode=FLOAT), False)
+
+
+@pytest.mark.parametrize("c, exact, thetas", [
+    # q = (-1, -2 t, 2, 0, 3, 2 t, 0) with t = 2.2e-313: the vertical,
+    # and a root 1e-313 beside it, which no float theta tells apart
+    ([0.0, 0.0, 0.0, 1.0, 2.2250738585e-313, 0.0, 0.0], 4,
+     [math.pi / 6, math.pi / 2, 5 * math.pi / 6]),
+    # q6 = -2.3e-220: a lone root 6e-222 from the vertical
+    ([1.0, 1.947910809019875e-221, 0.0, 1.0, 0.0, 0.0, 0.0], 6, None),
+])
+def test_roots_at_the_float_resolution_of_theta(c, exact, thetas):
+    """Roots 1e-200 and less from an axis: ``count_roots`` counts them
+    apart; two that one float theta cannot tell apart are one direction,
+    reported once and not simple, and a lone one is kept."""
+    frame = frame_from_coefficients(c[0], c[1], f4=c[2:], mode=FLOAT)
+    q = [sympy.Rational(*v.as_integer_ratio())
+         for v in direction_sextic(frame).q_coeffs]
+    square_free = sympy.Poly(list(reversed(q)), M).sqf_part()
+    assert square_free.count_roots() + (q[6] == 0) == exact
+    roots = evolute_directions(frame).roots
+    got = [r.theta for r in roots]
+    assert got == sorted(set(got)) and math.pi / 2 in got
+    if thetas is None:
+        assert len(got) == exact and all(r.simple for r in roots)
+    else:
+        assert got == pytest.approx(thetas, abs=1e-15)
+        assert [r.simple for r in roots] == [True, False, True]
+
+
+def double_root_frame(m0):
+    """A rational frame with a = 1, b = 0 whose sextic has a double root
+    at the direction (1, m0), or at the vertical when m0 is None.
+
+    q is affine in f4, so it is q(0) plus the changes from the unit
+    f4 rows; two linear conditions fix two of the five, and the other
+    three are 1/5, -1/7 and 1/3."""
+    basis = [(0,) * 5] + [tuple(int(i == k) for i in range(5))
+                          for k in range(5)]
+    q0, *rows = (direction_sextic(frame_from_coefficients(1, 0, f4=f4))
+                 .q_coeffs for f4 in basis)
+    f4 = sympy.symbols("f40 f31 f22 f13 f04")
+    q = [c0 + sum(f * (row[k] - c0) for f, row in zip(f4, rows))
+         for k, c0 in enumerate(q0)]
+    p = sum(c * M ** k for k, c in enumerate(q))
+    conditions = ([q[6], q[5]] if m0 is None
+                  else [p.subs(M, m0), sympy.diff(p, M).subs(M, m0)])
+    solved = sympy.solve(conditions, f4, dict=True)[0]
+    free = dict(zip((f for f in f4 if f not in solved),
+                    (sympy.Rational(1, 5), sympy.Rational(-1, 7),
+                     sympy.Rational(1, 3))))
+    values = {**free, **{f: v.subs(free) for f, v in solved.items()}}
+    return frame_from_coefficients(
+        1, 0, f4=[Fraction(str(values[f])) for f in f4])
+
+
+@pytest.mark.parametrize("m0, theta", [
+    (sympy.Rational(1, 3), math.atan(1 / 3)),
+    (0, 0.0),
+    (-2, math.pi - math.atan(2)),
+    (None, math.pi / 2),
+])
+def test_double_root_is_reported_once_and_not_simple(m0, theta):
+    """An exact double direction is one root, found through the
+    square-free part (or exactly, on an axis or a bisection point), and
+    it is not simple; moving every f4 coefficient by +-1e-9 splits it
+    into two simple roots or none."""
+    frame = double_root_frame(m0)
+    out = evolute_directions(frame)
+    assert len(out.roots) == len(oracle_directions(frame))
+    double = [r for r in out.roots if angle_gap(r.theta, theta) < 1e-12]
+    assert len(double) == 1 and not double[0].simple
+    for step in (Fraction(1, 10 ** 9), Fraction(-1, 10 ** 9)):
+        near = frame_from_coefficients(1, 0, f4=[c + step for c in frame.f4])
+        roots = evolute_directions(near).roots
+        assert len(roots) == len(oracle_directions(near))
+        assert len(roots) - len(out.roots) in (-1, 1)
+
+
+#: root counts of cubic_six at 21 x 21, rows in u, columns in v, as the
+#: companion-matrix roots with polish and dedupe found them
+CUBIC_SIX_21_COUNTS = """
+444444444444444444444
+444444444444444444444
+666666666666666666666
+666666666666666666666
+666666666666666666666
+666666666666666666666
+666666666666666666666
+666666666666666666666
+666666666666666666666
+666666666666666666666
+466666666666666666664
+466666666666666666664
+446666666666666666644
+444666666666666666444
+444666666666666666444
+444466666666666664444
+444466666666666664444
+444446666666666644444
+444446666666666644444
+444444666666666444444
+444444666666666444444
+""".split()
+
+
+def test_cubic_six_counts_with_roots_on_the_axes():
+    """On the unrotated cubic_six grid, q0 = 0 (a root at theta = 0) and
+    q6 = 0 (one at pi/2) exactly at 21 samples each; the counts stay
+    those of the earlier float root search, and every axis root is
+    found once."""
+    surface = build_surface(load_spec(str(SPECS / "cubic_six.json")))
+    us, vs = grid_points(surface.patch, (21, 21))
+    axis_zeros = [0, 0]
+    for u, row in zip(us, CUBIC_SIX_21_COUNTS):
+        for v, want in zip(vs, row):
+            frame = normalize_at(surface, (u, v))
+            q = direction_sextic(frame).q_coeffs
+            axis_zeros[0] += q[0] == 0
+            axis_zeros[1] += q[6] == 0
+            thetas = [r.theta for r in evolute_directions(frame).roots]
+            assert len(thetas) == int(want), (u, v)
+            if q[0] == 0:
+                assert thetas.count(0.0) == 1
+            if q[6] == 0:
+                assert thetas.count(math.pi / 2) == 1
+    assert axis_zeros == [21, 21]
 
 
 # ---------------------------------------------------------------------------

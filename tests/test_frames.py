@@ -4,9 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from aek.errors import NonConvexPointError, PatchBoundsError
+from aek.errors import (
+    NonConvexPointError,
+    NormalizationError,
+    PatchBoundsError,
+)
 from aek.frames import (
+    _FORM_TOL,
     AffineMap3,
+    BlaschkeFrame,
     SurfaceModel,
     _graph_shear,
     frame_from_coefficients,
@@ -71,6 +77,30 @@ def test_shear_enforces_apolarity():
     assert fr.apolarity_residuals == (0, 0)
     # the recorded shear: x -> x + alpha z with alpha = -3/2
     assert fr.world_from_local.linear[0][2] == Fraction(-3, 2)
+
+
+def test_float_normal_form_tolerance_scales_with_the_jet():
+    """A float frame's residuals are checked against the jet's scale, as
+    the normal-form snap checks its low terms: a one-ulp apolarity
+    residual on a cubic of 1e100 is round-off, and one above the scaled
+    tolerance is not.  A normalization whose jet overflows is refused as
+    an overflow."""
+    fr = frame_from_coefficients(1e100, 0.0, mode=FLOAT)
+
+    def frame_with(e, value):
+        terms = dict(fr.normalized.terms())
+        terms[e] = value
+        return BlaschkeFrame(Jet2.from_terms(terms, 5, FLOAT),
+                             fr.world_from_local)
+
+    rounded = frame_with((1, 2), math.nextafter(-3e100, 0.0))
+    assert rounded.apolarity_residuals[0] > 1e80
+    with pytest.raises(ValueError, match="apolarity residual"):
+        frame_with((1, 2), -3e100 + 3 * _FORM_TOL * 3e100)
+    huge = surface({(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1e160, (4, 0): 1e300,
+                    (0, 4): 1e300}, mode=FLOAT)
+    with pytest.raises(NormalizationError, match="float overflow"):
+        normalize_at(huge, (0.0, 0.0))
 
 
 def test_graph_shear_is_an_exact_fixed_point():

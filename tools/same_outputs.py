@@ -11,12 +11,22 @@ it compares the exit code, stdout and every file the command writes,
 byte for byte; stderr is not compared, since it carries the timing.  It
 prints one line per command and exits 1 on any difference.
 
+A command whose bytes differ gets a second report, on the next line:
+the parts that must match exactly (statuses, counts, branch ids,
+``regular_flag``, messages and every other non-float value of the CSV,
+OBJ and JSON outputs, and the root count at each grid point), named
+when they differ, and the largest relative change of each float
+quantity, taken against the largest magnitude that quantity has.  It
+tells round-off apart from a changed result; the exit code stays that
+of the byte check.
+
 Only the standard library is used, and every file goes to a temporary
 directory.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import io
 import json
@@ -25,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +152,111 @@ def differing_files(a: Path, b: Path) -> list:
         or (a / name).read_bytes() != (b / name).read_bytes())
 
 
+#: CSV columns that hold labels or flags, not measurements
+EXACT_COLUMNS = ("branch_id", "regular_flag")
+
+
+class Changes:
+    """The float pairs of each quantity, and the exact parts that
+    differ, over the outputs of one command on both trees."""
+
+    def __init__(self):
+        self.pairs = {}
+        self.mismatched = set()
+
+    def add_float(self, name: str, a: float, b: float) -> None:
+        self.pairs.setdefault(name, []).append((a, b))
+
+    def exact(self, name: str, a, b) -> None:
+        if a != b or type(a) is not type(b):
+            self.mismatched.add(name)
+
+    def walk(self, a, b, path: str = "") -> None:
+        """Pair the floats of two JSON values; everything else,
+        structure included, must match exactly."""
+        if isinstance(a, float) and isinstance(b, float):
+            self.add_float(path, a, b)
+        elif (isinstance(a, dict) and isinstance(b, dict)
+              and list(a) == list(b)):
+            for key in a:
+                self.walk(a[key], b[key], f"{path}.{key}" if path else key)
+        elif (isinstance(a, list) and isinstance(b, list)
+              and len(a) == len(b)):
+            for x, y in zip(a, b):
+                self.walk(x, y, path + "[]")
+        else:
+            self.exact(path or "document", a, b)
+
+    def add_csv(self, a: str, b: str) -> None:
+        rows_a, rows_b = (list(csv.DictReader(io.StringIO(t)))
+                          for t in (a, b))
+        self.exact("csv rows", len(rows_a), len(rows_b))
+        self.exact("csv root counts", *(
+            Counter((r.get("u"), r.get("v")) for r in rows)
+            for rows in (rows_a, rows_b)))
+        for ra, rb in zip(rows_a, rows_b):
+            self.exact("csv columns", list(ra), list(rb))
+            for col in ra.keys() & rb.keys():
+                if col in EXACT_COLUMNS or ra[col] == rb[col] == "":
+                    self.exact(f"csv {col}", ra[col], rb[col])
+                else:
+                    self.add_float(f"csv {col}", float(ra[col]),
+                                   float(rb[col]))
+
+    def add_obj(self, a: str, b: str) -> None:
+        lines_a, lines_b = a.splitlines(), b.splitlines()
+        self.exact("obj lines", len(lines_a), len(lines_b))
+        for la, lb in zip(lines_a, lines_b):
+            head_a, *rest_a = la.split()
+            head_b, *rest_b = lb.split()
+            if head_a == head_b == "v" and len(rest_a) == len(rest_b):
+                for x, y in zip(rest_a, rest_b):
+                    self.add_float("obj v", float(x), float(y))
+            else:
+                self.exact(f"obj {head_a}", la, lb)
+
+    def add_text(self, name: str, a: str, b: str) -> None:
+        if name.endswith(".csv"):
+            self.add_csv(a, b)
+        elif name.endswith(".obj"):
+            self.add_obj(a, b)
+        else:
+            try:
+                docs = json.loads(a), json.loads(b)
+            except ValueError:
+                self.exact(name, a, b)
+            else:
+                self.walk(*docs)
+
+    def largest(self) -> dict:
+        """Quantity -> largest |a - b| over the largest |a| or |b|."""
+        out = {}
+        for name, pairs in self.pairs.items():
+            scale = max(max(abs(a), abs(b)) for a, b in pairs)
+            worst = max(abs(a - b) for a, b in pairs)
+            out[name] = worst / scale if worst else 0.0
+        return out
+
+    def summary(self) -> str:
+        changed = {k: v for k, v in self.largest().items() if v}
+        text = ("exact parts differ: " + ", ".join(sorted(self.mismatched))
+                if self.mismatched else "exact parts identical")
+        return text + "; largest relative change: " + (", ".join(
+            f"{k} {v:.1e}" for k, v in sorted(changed.items())) or "none")
+
+
+def close_report(outs, stdouts) -> Changes:
+    """The second report on one command: its stdouts and every file
+    its two runs wrote under ``outs``."""
+    changes = Changes()
+    changes.add_text("stdout", *(s.decode() for s in stdouts))
+    for name in differing_files(*outs):
+        texts = [(top / name).read_text() if (top / name).exists() else ""
+                 for top in outs]
+        changes.add_text(name, *texts)
+    return changes
+
+
 def compare(base_src: Path, new_src: Path, commands=COMMANDS) -> int:
     """Run every command on both trees, print one line per command and
     return the number of commands whose outputs differ."""
@@ -167,6 +283,10 @@ def compare(base_src: Path, new_src: Path, commands=COMMANDS) -> int:
             verdict = "DIFFERENT" if found else "identical"
             detail = f" ({', '.join(found)})" if found else f" (exit {code_a})"
             print(f"{verdict}  {command}{detail}", flush=True)
+            if found:
+                changes = close_report(outs, (out_a, out_b))
+                changes.exact("exit code", code_a, code_b)
+                print(f"    {changes.summary()}", flush=True)
     return differences
 
 
