@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's jet arithmetic: the
 point is to check that machinery against evaluation-only computations
 (exact interpolation, quadrature, finite-difference stencils with
-self-derived weights).
+self-derived weights).  The Pick-rate stencil is the one exception: it
+checks a closed form read off one frame against the package's own
+normalization at nearby points.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from itertools import product
 
 import numpy as np
 
-from aek.frames import AffineMap3, SurfaceModel
+from aek.errors import PatchBoundsError
+from aek.evolute import pick_invariant
+from aek.frames import AffineMap3, SurfaceModel, normalize_at
+from aek.geometry import direction_pair, unit_direction
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT
 
@@ -297,6 +302,39 @@ def mu_prime_oracle(a3, a4, a5, h: float = 0.008, H: float = 0.015) -> float:
     r1 = (16 * d2 - d1) / 15
     r2 = (16 * d3 - d2) / 15
     return (64 * r2 - r1) / 63
+
+
+# ---------------------------------------------------------------------------
+# the Pick rate by a stencil of normalizations
+
+
+def pick_rate_by_stencil(surface: SurfaceModel, p0, direction_w,
+                         h: float = 1e-4) -> float:
+    """Central difference of the Pick norm |kappa| = sqrt(a^2 + b^2)
+    along the chart line through p0, each stencil point normalized on
+    its own: the reference for the closed form of
+    :func:`aek.evolute.pick_derivative`.  A stencil point outside the
+    patch raises :class:`PatchBoundsError`."""
+    wx, wy = unit_direction(direction_pair(direction_w))
+    surface = surface.to_float()
+    points = [(float(p0[0]) + s * h * wx, float(p0[1]) + s * h * wy)
+              for s in (1, -1)]
+    for p in points:
+        if not surface.contains(p):
+            raise PatchBoundsError(
+                f"stencil point {p} outside patch {surface.patch}")
+    bp, bm = (math.sqrt(pick_invariant(normalize_at(surface, p)))
+              for p in points)
+    return (bp - bm) / (2 * h)
+
+
+def pick_rate_richardson(surface: SurfaceModel, p0, direction_w,
+                         h: float = 1e-4) -> float:
+    """:func:`pick_rate_by_stencil` at steps h and h/2, extrapolated to
+    O(h^4)."""
+    coarse = pick_rate_by_stencil(surface, p0, direction_w, h)
+    fine = pick_rate_by_stencil(surface, p0, direction_w, h / 2)
+    return (4 * fine - coarse) / 3
 
 
 # ---------------------------------------------------------------------------

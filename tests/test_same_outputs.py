@@ -2,6 +2,7 @@
 second report on commands whose bytes differ."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -66,3 +67,50 @@ def test_second_report_separates_round_off_from_changed_labels(tmp_path):
                                           "-4.0,0.0,1\n")
     changes = tool.close_report((a, b), (b"", b""))
     assert {"csv rows", "csv root counts"} <= changes.mismatched
+
+
+def test_second_report_counts_and_names_changed_flag_rows(tmp_path):
+    """An exact CSV column that differs gets a line with the number of
+    rows it differs in and the first three as (u, v, theta)."""
+    tool = _tool()
+    header = "u,v,branch_id,theta,x,y,z,D_residual,regular_flag\n"
+    flags = {"a": "0,0,1,0,0", "b": "1,0,0,1,1"}
+    for name, row_flags in flags.items():
+        top = tmp_path / name
+        top.mkdir()
+        (top / "evolute_points.csv").write_text(header + "".join(
+            f"{u},0.5,0,{theta},1.0,2.0,3.0,0.0,{flag}\n"
+            for u, theta, flag in zip(("-0.1", "0.0", "0.1", "0.2", "0.3"),
+                                      ("0.25", "1.5", "3.0", "0.75", "2.0"),
+                                      row_flags.split(","))))
+    changes = tool.close_report((tmp_path / "a", tmp_path / "b"),
+                                (b"", b""))
+    assert changes.mismatched == {"csv regular_flag"}
+    assert changes.row_lines() == [
+        "csv regular_flag: 4 row(s) differ, first as (u, v, theta): "
+        "(-0.1, 0.5, 0.25), (0.1, 0.5, 3.0), (0.2, 0.5, 0.75)"]
+
+
+def test_compare_prints_the_changed_flag_rows(tmp_path, capsys):
+    """A tree whose regularity rule never passes flips every flagged row
+    of a small grid, and the second report names those rows."""
+    tool = _tool()
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    evolute = copy / "aek" / "evolute.py"
+    text = evolute.read_text()
+    assert text.count("return (simple_root and") == 1
+    evolute.write_text(text.replace("return (simple_root and",
+                                    "return (False and simple_root and"))
+    command = "evolute --spec cubic_six.json --grid 3 --workers 1"
+    assert tool.compare(ROOT / "src", copy, [command]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"DIFFERENT  {command} (evolute_points.csv)"
+    assert lines[1].startswith(
+        "    exact parts differ: csv regular_flag; largest relative change: ")
+    row = r"\(-?[0-9.e-]+, -?[0-9.e-]+, [0-9.e-]+\)"
+    assert re.fullmatch(
+        r"    csv regular_flag: \d+ row\(s\) differ, first as "
+        rf"\(u, v, theta\): {row}(, {row}){{0,2}}", lines[2])
+    assert len(lines) == 3

@@ -18,7 +18,9 @@ OBJ and JSON outputs, and the root count at each grid point), named
 when they differ, and the largest relative change of each float
 quantity, taken against the largest magnitude that quantity has.  It
 tells round-off apart from a changed result; the exit code stays that
-of the byte check.
+of the byte check.  Each exact CSV column that differs then gets a line
+of its own: the number of rows it differs in, and the first three as
+(u, v, theta) of REV's row.
 
 Only the standard library is used, and every file goes to a temporary
 directory.
@@ -163,6 +165,8 @@ class Changes:
     def __init__(self):
         self.pairs = {}
         self.mismatched = set()
+        #: exact CSV column -> (u, v, theta) of the REV rows it differs in
+        self.rows = {}
 
     def add_float(self, name: str, a: float, b: float) -> None:
         self.pairs.setdefault(name, []).append((a, b))
@@ -199,6 +203,9 @@ class Changes:
             for col in ra.keys() & rb.keys():
                 if col in EXACT_COLUMNS or ra[col] == rb[col] == "":
                     self.exact(f"csv {col}", ra[col], rb[col])
+                    if ra[col] != rb[col]:
+                        self.rows.setdefault(f"csv {col}", []).append(
+                            tuple(ra.get(k) for k in ("u", "v", "theta")))
                 else:
                     self.add_float(f"csv {col}", float(ra[col]),
                                    float(rb[col]))
@@ -244,6 +251,17 @@ class Changes:
         return text + "; largest relative change: " + (", ".join(
             f"{k} {v:.1e}" for k, v in sorted(changed.items())) or "none")
 
+    def row_lines(self) -> list:
+        """One line per exact CSV column that differs: the number of
+        rows it differs in, and the first three as (u, v, theta)."""
+        lines = []
+        for name, rows in sorted(self.rows.items()):
+            first = ", ".join(f"({', '.join(map(str, r))})"
+                              for r in rows[:3])
+            lines.append(f"{name}: {len(rows)} row(s) differ, first as "
+                         f"(u, v, theta): {first}")
+        return lines
+
 
 def close_report(outs, stdouts) -> Changes:
     """The second report on one command: its stdouts and every file
@@ -286,7 +304,8 @@ def compare(base_src: Path, new_src: Path, commands=COMMANDS) -> int:
             if found:
                 changes = close_report(outs, (out_a, out_b))
                 changes.exact("exit code", code_a, code_b)
-                print(f"    {changes.summary()}", flush=True)
+                for line in [changes.summary(), *changes.row_lines()]:
+                    print(f"    {line}", flush=True)
     return differences
 
 
