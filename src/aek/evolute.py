@@ -41,7 +41,7 @@ from .invariants import (
     moutard_center,
     transon_gradients,
 )
-from .matutil import det2, det3, det4, solve3
+from .matutil import det3, det4, solve3
 from .midplanes import pair_sum_forms
 from .realroots import integer_coefficients, unit_roots
 from .scalars import coerce
@@ -324,40 +324,30 @@ def pick_invariant(frame: BlaschkeFrame):
     return frame.a * frame.a + frame.b * frame.b
 
 
-def pick_invariant_rate(frame: BlaschkeFrame, direction_w):
-    """dJ/dt of the Pick invariant J at the chart point p0 + t w, exact
-    in rational mode: grad J . M^-1 w, where M is the chart block of the
-    frame's world map, (-alpha, -beta, 1) spans the world vertical in
-    the local chart (the apolarity shear of a :func:`normalize_at`
-    frame), and
+def pick_derivative(surface: SurfaceModel, p0, direction_w,
+                    h: float = 1e-4) -> float:
+    """Directional derivative of the Pick norm |kappa| = sqrt(a^2 + b^2).
 
-        grad J = J (alpha, beta) + (a (2 f40 - f22) + b (f13 - 3 f31) / 2,
-                                    a (f31 - 3 f13) / 2 + b (2 f04 - f22)).
+    Central finite difference along the chart line through p0.  |kappa|
+    is the coefficient b >= 0 of the frame turned to kill a, whichever
+    of the three such turns is taken, so no frame continuation is needed.
+    Both stencil points are checked against the patch before either is
+    normalized, so a stencil that leaves the patch costs no
+    normalization.
     """
-    m, inv = frame.world_from_local.linear, frame.world_from_local.inv_linear
-    wx, wy = direction_w
-    vx, vy = m[1][1] * wx - m[0][1] * wy, m[0][0] * wy - m[1][0] * wx
-    a, b = frame.a, frame.b
-    f40, f31, f22, f13, f04 = frame.f4
-    k = -pick_invariant(frame) / inv[2][2]  # J (alpha, beta) = k inv[:2][2]
-    gx = k * inv[0][2] + a * (2 * f40 - f22) + b * (f13 - 3 * f31) / 2
-    gy = k * inv[1][2] + a * (f31 - 3 * f13) / 2 + b * (2 * f04 - f22)
-    return (gx * vx + gy * vy) / det2(m)
-
-
-def pick_derivative(frame: BlaschkeFrame, direction_w) -> float:
-    """Rate of the Pick norm |kappa| = sqrt(J) along a chart direction,
-    per unit length: dJ/dt / (2 |kappa|), and 0 where kappa = 0, where
-    |kappa| has no derivative.  A rate beyond the float range raises
-    OverflowError."""
-    w = unit_direction(direction_pair(direction_w))
-    j = float(pick_invariant(frame))
-    if not j:
-        return 0.0
-    rate = float(pick_invariant_rate(frame, w)) / (2 * math.sqrt(j))
-    if not math.isfinite(rate):
-        raise OverflowError("Pick rate beyond the float range")
-    return rate
+    wx, wy = unit_direction(direction_pair(direction_w))
+    surface = surface.to_float()
+    p0 = (float(p0[0]), float(p0[1]))
+    pp = (p0[0] + h * wx, p0[1] + h * wy)
+    pm = (p0[0] - h * wx, p0[1] - h * wy)
+    for p in (pp, pm):
+        if not surface.contains(p):
+            raise PatchBoundsError(
+                f"stencil point {p} outside patch {surface.patch}"
+            )
+    bp, bm = (math.sqrt(pick_invariant(normalize_at(surface, p)))
+              for p in (pp, pm))
+    return (bp - bm) / (2 * h)
 
 
 def section_curvature_rate(frame: BlaschkeFrame, direction):
@@ -380,16 +370,31 @@ def section_curvature_rate(frame: BlaschkeFrame, direction):
 def regularity_rule(simple_root: bool, mu_prime, pick_rates) -> bool:
     """The sufficient regularity condition at a branch point.
 
-    The Pick invariant is not critical (some directional rate of |kappa|
-    exceeds 1e-6 in size), the section curvature rate along T exceeds
+    The Pick invariant is not critical (some finite directional rate of
+    |kappa| exceeds 1e-6), the section curvature rate along T exceeds
     1e-9 in size, and the branch direction is a simple root.
     """
     return (simple_root and abs(mu_prime) > 1e-9
-            and any(abs(r) > 1e-6 for r in pick_rates))
+            and any(abs(r) > 1e-6 for r in pick_rates if not math.isnan(r)))
 
 
 #: what ``normalize_at`` raises at a point it cannot normalize
 _NORMALIZE_ERRORS = (NonConvexPointError, PatchBoundsError, NormalizationError)
+
+
+def _pick_rates(surface, p0, directions: int) -> tuple:
+    """Pick rates along ``directions`` chart directions spread over
+    [0, pi); NaN where a stencil point leaves the patch or cannot be
+    normalized."""
+    rates = []
+    for k in range(directions):
+        ang = math.pi * k / directions
+        try:
+            rates.append(pick_derivative(
+                surface, p0, (math.cos(ang), math.sin(ang))))
+        except _NORMALIZE_ERRORS:
+            rates.append(float("nan"))
+    return tuple(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +451,10 @@ def compute_sample(surface: SurfaceModel, index, point,
     """Normalize, find root directions and solve centers at one point.
 
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
-    read off the frame along that many chart directions spread over
-    [0, pi), and every solution gets its ``regular`` flag from those
-    rates.  The point is normalized and its roots are found once, and
-    every root and rate reuses them.  A float overflow anywhere in the
-    sample makes it an ``error`` sample.
+    sampled along that many chart directions, and every solution gets
+    its ``regular`` flag from those rates.  The point is normalized and
+    its roots are found once, and every root reuses them.  A float
+    overflow anywhere in the sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -459,6 +463,9 @@ def compute_sample(surface: SurfaceModel, index, point,
                   else "error")
         return SamplePoint(index, point, status, message=str(exc))
     try:
+        rates = None
+        if pick_directions:
+            rates = _pick_rates(surface, point, pick_directions)
         droots = evolute_directions(frame)
         sols = []
         messages = []
@@ -482,10 +489,7 @@ def compute_sample(surface: SurfaceModel, index, point,
                     sols.append(solve_evolute_point(frame, root.theta))
                 except (NoSolutionError, RankDeficientError) as exc:
                     messages.append(f"theta={root.theta:.4f}: {exc}")
-        if pick_directions:
-            rates = [pick_derivative(frame, (math.cos(ang), math.sin(ang)))
-                     for ang in (math.pi * k / pick_directions
-                                 for k in range(pick_directions))]
+        if rates is not None:
             sols = [replace(sol, regular=regularity_rule(
                         sol.simple_root, sol.mu_prime, rates))
                     for sol in sols]

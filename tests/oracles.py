@@ -3,9 +3,8 @@
 Everything here deliberately avoids the package's jet arithmetic: the
 point is to check that machinery against evaluation-only computations
 (exact interpolation, quadrature, finite-difference stencils with
-self-derived weights).  The Pick-rate stencil is the one exception: it
-checks a closed form read off one frame against the package's own
-normalization at nearby points.
+self-derived weights), or, for the Pick rate, a closed form read off
+one frame that checks the package's stencil of nearby normalizations.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from aek.errors import PatchBoundsError
-from aek.evolute import pick_invariant
-from aek.frames import AffineMap3, SurfaceModel, normalize_at
-from aek.geometry import direction_pair, unit_direction
+from aek.frames import AffineMap3, SurfaceModel
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT
 
@@ -305,36 +301,29 @@ def mu_prime_oracle(a3, a4, a5, h: float = 0.008, H: float = 0.015) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the Pick rate by a stencil of normalizations
+# the Pick rate in closed form
 
 
-def pick_rate_by_stencil(surface: SurfaceModel, p0, direction_w,
-                         h: float = 1e-4) -> float:
-    """Central difference of the Pick norm |kappa| = sqrt(a^2 + b^2)
-    along the chart line through p0, each stencil point normalized on
-    its own: the reference for the closed form of
-    :func:`aek.evolute.pick_derivative`.  A stencil point outside the
-    patch raises :class:`PatchBoundsError`."""
-    wx, wy = unit_direction(direction_pair(direction_w))
-    surface = surface.to_float()
-    points = [(float(p0[0]) + s * h * wx, float(p0[1]) + s * h * wy)
-              for s in (1, -1)]
-    for p in points:
-        if not surface.contains(p):
-            raise PatchBoundsError(
-                f"stencil point {p} outside patch {surface.patch}")
-    bp, bm = (math.sqrt(pick_invariant(normalize_at(surface, p)))
-              for p in points)
-    return (bp - bm) / (2 * h)
+def pick_invariant_rate(frame, direction_w):
+    """dJ/dt of the Pick invariant J = a^2 + b^2 at the chart point
+    p0 + t w, read off the frame at p0 alone, exact on rational frames:
+    grad J . M^-1 w, where M is the chart block of the frame's world
+    map, (-alpha, -beta, 1) spans the world vertical in the local chart
+    (the apolarity shear of a ``normalize_at`` frame), and
 
+        grad J = J (alpha, beta) + (a (2 f40 - f22) + b (f13 - 3 f31) / 2,
+                                    a (f31 - 3 f13) / 2 + b (2 f04 - f22)).
 
-def pick_rate_richardson(surface: SurfaceModel, p0, direction_w,
-                         h: float = 1e-4) -> float:
-    """:func:`pick_rate_by_stencil` at steps h and h/2, extrapolated to
-    O(h^4)."""
-    coarse = pick_rate_by_stencil(surface, p0, direction_w, h)
-    fine = pick_rate_by_stencil(surface, p0, direction_w, h / 2)
-    return (4 * fine - coarse) / 3
+    The rate of |kappa| = sqrt(J) is this over 2 |kappa|."""
+    m, inv = frame.world_from_local.linear, frame.world_from_local.inv_linear
+    wx, wy = direction_w
+    a, b = frame.a, frame.b
+    f40, f31, f22, f13, f04 = frame.f4
+    k = -(a * a + b * b) / inv[2][2]  # J (alpha, beta) = k inv[:2][2]
+    gx = k * inv[0][2] + a * (2 * f40 - f22) + b * (f13 - 3 * f31) / 2
+    gy = k * inv[1][2] + a * (f31 - 3 * f13) / 2 + b * (2 * f04 - f22)
+    vx, vy = m[1][1] * wx - m[0][1] * wy, m[0][0] * wy - m[1][0] * wx
+    return (gx * vx + gy * vy) / (m[0][0] * m[1][1] - m[0][1] * m[1][0])
 
 
 # ---------------------------------------------------------------------------

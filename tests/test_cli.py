@@ -651,17 +651,16 @@ def test_normalize_overflowed_float_frame_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("umin, umax", [
-    # a step of 1e-4 from the u-column next to the edge is non-convex
+    # the stencil's normalize_at finds the Hessian not positive definite
     (-0.18665266666666666, 0.013347333333333322),
-    # frames a step of 1e-4 from that column carry apolarity residuals
-    # of 1e-10
+    # the stencil's frames carry apolarity residuals of 1e-10, which
+    # the float normal-form tolerance takes as round-off
     (-0.18648666666666663, 0.01351333333333335),
 ])
 def test_evolute_survives_failed_pick_stencil(tmp_path, capsys, umin, umax):
-    """The u-column next to the non-convex edge (u < -1/6) has neighbours
-    a Pick stencil could not normalize; the rates come from each
-    sample's own frame, and the run records the same failures and rows
-    with the rates on as with them off."""
+    """The u-column next to the non-convex edge (u < -1/6) has Pick
+    stencil points that cannot be normalized; they get a NaN rate, and
+    the run records the same failures and rows as without the stencil."""
     path = write_spec(tmp_path, "edge.json", {
         "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1.0},
         "patch": [umin, umax, -0.1, 0.1],
@@ -682,9 +681,10 @@ def test_evolute_survives_failed_pick_stencil(tmp_path, capsys, umin, umax):
 
 def test_evolute_regular_flag_wiring(tmp_path, capsys):
     """Every CSV regular_flag is the regularity rule recomputed from the
-    row's own inputs: the closed-form Pick rates along (1, 0) and
-    (0, 1) of the row's frame, the root's simplicity and the section
-    curvature rate.  With the rates off the column is empty."""
+    row's own inputs: Pick rates along (1, 0) and (0, 1), the root's
+    simplicity and the section curvature rate.  Without the stencil the
+    column is empty."""
+    from aek.errors import AekError
     from aek.evolute import (direction_sextic, pick_derivative,
                              regularity_rule, section_curvature_rate)
     from aek.frames import normalize_at
@@ -704,13 +704,18 @@ def test_evolute_regular_flag_wiring(tmp_path, capsys):
             .read_text().splitlines()[1:]]
     assert rows["off"] and all(r[8] == "" for r in rows["off"])
 
+    def rate(point, w):
+        try:
+            return pick_derivative(surface, point, w)
+        except (AekError, ValueError, ArithmeticError):
+            return float("nan")
+
     rates, flags = {}, set()
     for r in rows["fast"]:
         point, theta = (float(r[0]), float(r[1])), float(r[3])
-        frame = normalize_at(surface, point)
         if point not in rates:
-            rates[point] = (pick_derivative(frame, (1, 0)),
-                            pick_derivative(frame, (0, 1)))
+            rates[point] = (rate(point, (1, 0)), rate(point, (0, 1)))
+        frame = normalize_at(surface, point)
         want = regularity_rule(
             direction_sextic(frame).is_simple_root(theta),
             section_curvature_rate(frame, (math.cos(theta),

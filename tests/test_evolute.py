@@ -36,7 +36,6 @@ from aek.evolute import (
     grid_points,
     pick_derivative,
     pick_invariant,
-    pick_invariant_rate,
     regularity_rule,
     section_curvature_rate,
     solve_evolute_point,
@@ -48,8 +47,7 @@ from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
     PYTHAGOREAN_DIRECTIONS,
-    pick_rate_by_stencil,
-    pick_rate_richardson,
+    pick_invariant_rate,
     sphere_surface,
 )
 
@@ -583,33 +581,8 @@ def test_pick_invariant_values():
 
 def test_pick_derivative_sphere_vanishes():
     s = sphere_surface()
-    for p in ((0.01, 0.005), (-0.03, 0.04), (0.0, 0.0)):
-        frame = normalize_at(s, p)
-        for w in ((1.0, 0.0), (0.6, 0.8)):
-            assert abs(pick_derivative(frame, w)) < 1e-12
-
-
-def test_pick_rate_is_zero_on_quadric_frames():
-    """kappa = 0 on a sphere or paraboloid frame, and the rate is 0
-    there, exactly on rational frames."""
-    sphere = normalize_at(sphere_surface(mode=RATIONAL), (0, 0))
-    paraboloid = build_surface(load_spec(str(SPECS / "paraboloid.json")))
-    frames = [sphere, sphere_frame(), _paraboloid_frame(),
-              normalize_at(paraboloid, (Fraction(-1, 2), Fraction(1, 7))),
-              normalize_at(paraboloid.to_float(), (0.3, -0.2))]
-    for frame in frames:
-        assert pick_invariant(frame) == 0
-        for w in PYTHAGOREAN_DIRECTIONS:
-            assert pick_invariant_rate(frame, w) == 0
-            assert pick_derivative(frame, w) == 0.0
-
-
-def test_pick_derivative_beyond_float_range_raises():
-    for a, f40 in ((1e200, 0.0), (1.0, 1e308)):
-        frame = frame_from_coefficients(a, 0.0, f4=(f40, 0, -f40, 0, 0),
-                                        mode=FLOAT)
-        with pytest.raises(OverflowError):
-            pick_derivative(frame, (0.6, 0.8))
+    for w in ((1.0, 0.0), (0.6, 0.8)):
+        assert abs(pick_derivative(s, (0.01, 0.005), w)) < 1e-8
 
 
 def test_pick_derivative_position_dependent_cubic():
@@ -617,20 +590,17 @@ def test_pick_derivative_position_dependent_cubic():
         {(2, 0): 0.5, (0, 2): 0.5, (3, 1): 1.0},
         (-0.2, 0.2, -0.2, 0.2), FLOAT,
     )
-    b1 = pick_rate_by_stencil(s, (0.03, 0.02), (1.0, 0.0), h=1e-4)
-    b2 = pick_rate_by_stencil(s, (0.03, 0.02), (1.0, 0.0), h=5e-5)
+    b1 = pick_derivative(s, (0.03, 0.02), (1.0, 0.0), h=1e-4)
+    b2 = pick_derivative(s, (0.03, 0.02), (1.0, 0.0), h=5e-5)
     assert abs(b1) > 1e-3
     # Richardson control: the two step sizes agree to three digits
     assert b1 == pytest.approx(b2, rel=1e-3)
-    # and the closed form agrees with their extrapolation
-    rate = pick_derivative(normalize_at(s, (0.03, 0.02)), (1.0, 0.0))
-    assert rate == pytest.approx((4 * b2 - b1) / 3, rel=1e-8)
 
 
 def test_pick_derivative_rejects_zero_direction():
-    for frame in (normalize_at(sphere_surface(), (0.0, 0.0)), cubic_frame()):
-        with pytest.raises(ValueError):
-            pick_derivative(frame, (0.0, 0.0))
+    s = sphere_surface()
+    with pytest.raises(ValueError):
+        pick_derivative(s, (0.0, 0.0), (0.0, 0.0))
 
 
 def _random_height(rng):
@@ -685,9 +655,10 @@ def _first_order_pick_rate(coeffs, w):
 
 
 def test_pick_invariant_rate_is_the_first_order_normalization():
-    """The closed form equals dJ/dt of the normalization at p0 + t w,
-    derived exactly to first order in t, on random rational heights with
-    a unit Hessian and a tilted tangent plane at p0 = 0."""
+    """The oracle's closed form equals dJ/dt of the normalization at
+    p0 + t w, derived exactly to first order in t, on random rational
+    heights with a unit Hessian and a tilted tangent plane at p0 = 0,
+    and it is unchanged when the frame's local chart is turned."""
     rng = random.Random(12)
     for _ in range(10):
         coeffs = _random_height(rng)
@@ -700,12 +671,16 @@ def test_pick_invariant_rate_is_the_first_order_normalization():
         got = pick_invariant_rate(frame, w)
         assert isinstance(got, Fraction) and got
         assert got == Fraction(int(want.numerator), int(want.denominator))
+        # turning the local chart leaves the rate along w unchanged
+        for c, s in PYTHAGOREAN_DIRECTIONS[2:]:
+            turned = rotate_frame(frame, cos_sin=(c, s))
+            assert pick_invariant_rate(turned, w) == got
 
 
-def test_pick_derivative_matches_richardson_stencil():
+def test_pick_derivative_matches_closed_form():
     """On random float surfaces with a general Hessian and a tilted
-    tangent plane, the closed form matches the Richardson-extrapolated
-    stencil of normalizations (steps 1e-4 and 5e-5)."""
+    tangent plane, the stencil extrapolated from steps 1e-4 and 5e-5
+    matches the closed-form rate dJ/dt / (2 |kappa|) of the frame."""
     rng = random.Random(5)
     for _ in range(20):
         h00, h11 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
@@ -719,44 +694,14 @@ def test_pick_derivative_matches_richardson_stencil():
         p = (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         ang = rng.uniform(0.0, math.pi)
         w = (math.cos(ang), math.sin(ang))
-        want = pick_rate_richardson(surface, p, w, h=1e-4)
+        coarse = pick_derivative(surface, p, w, h=1e-4)
+        fine = pick_derivative(surface, p, w, h=5e-5)
+        want = (4 * fine - coarse) / 3
         assert abs(want) > 1e-3
-        got = pick_derivative(normalize_at(surface, p), w)
+        frame = normalize_at(surface, p)
+        got = pick_invariant_rate(frame, w) / (
+            2 * math.sqrt(pick_invariant(frame)))
         assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_pick_rate_rotation_covariant_frames():
-    """Turning the local chart with :func:`rotate_frame` leaves the rate
-    along a chart direction unchanged, and so does turning the world
-    chart about the vertical with the direction: exactly on rational
-    frames, to 1e-12 on float ones."""
-    rng = random.Random(3)
-    turns = PYTHAGOREAN_DIRECTIONS[2:] + [(Fraction(-7, 25), Fraction(24, 25))]
-    for _ in range(4):
-        surface = SurfaceModel.from_coefficients(
-            _random_height(rng), (-1, 1, -1, 1), RATIONAL,
-            check_convexity=False)
-        frame = normalize_at(surface, (0, 0))
-        fl = to_float_frame(frame)
-        for c, s in turns:
-            turned = rotate_frame(frame, cos_sin=(c, s))
-            fl_turned = rotate_frame(fl, cos_sin=(float(c), float(s)))
-            world_turn = AffineMap3(((c, -s, 0), (s, c, 0), (0, 0, 1)),
-                                    (0, 0, 0), RATIONAL)
-            world_turned = BlaschkeFrame(
-                frame.normalized, world_turn.compose(frame.world_from_local))
-            fl_world_turned = to_float_frame(world_turned)
-            for w in PYTHAGOREAN_DIRECTIONS:
-                turned_w = (c * w[0] - s * w[1], s * w[0] + c * w[1])
-                rate = pick_invariant_rate(frame, w)
-                assert rate
-                assert pick_invariant_rate(turned, w) == rate
-                assert pick_invariant_rate(world_turned, turned_w) == rate
-                f_rate = pick_derivative(fl, w)
-                for other, direction in ((fl_turned, w),
-                                         (fl_world_turned, turned_w)):
-                    assert pick_derivative(other, direction) \
-                        == pytest.approx(f_rate, rel=1e-12, abs=1e-15)
 
 
 def _turned_surface(surface, phi):
@@ -780,7 +725,7 @@ def _turned_surface(surface, phi):
 ], ids=["cubic_six", "regular_fixture"])
 def test_pick_derivative_rotation_covariant(make_surface):
     """|kappa| is a rotation invariant, so turning the graph, the point
-    and the direction together leaves the rate unchanged."""
+    and the stencil direction together leaves the rate unchanged."""
     def turn(v, phi):
         c, s = math.cos(phi), math.sin(phi)
         return (c * v[0] - s * v[1], s * v[0] + c * v[1])
@@ -791,41 +736,10 @@ def test_pick_derivative_rotation_covariant(make_surface):
         for p, w in (((0.02, -0.01), (1.0, 0.0)),
                      ((-0.03, 0.04), (0.6, 0.8)),
                      ((0.05, 0.03), (0.0, 1.0))):
-            rate = pick_derivative(normalize_at(surface, p), w)
+            rate = pick_derivative(surface, p, w)
             assert abs(rate) > 1e-3
-            assert pick_derivative(normalize_at(turned, turn(p, phi)),
-                                   turn(w, phi)) \
-                == pytest.approx(rate, rel=1e-10)
-
-
-def test_edge_rows_are_judged_by_the_closed_form():
-    """On cubic_six 11x11, every row at a patch-edge sample has the flag
-    of the regularity rule with the closed-form rates, and those rates
-    match the Richardson stencil of the same graph on a larger patch."""
-    spec = load_spec(str(SPECS / "cubic_six.json"))
-    surface = build_surface(spec)
-    wide = SurfaceModel(surface.height, (-0.2, 0.2, -0.2, 0.2),
-                        check_convexity=False)
-    trace = trace_evolute(surface, grid=11, pick_directions=2)
-    umin, umax, vmin, vmax = surface.patch
-    axes = ((1.0, 0.0), (0.0, 1.0))
-    rates, flags = {}, []
-    for branch in trace.branches:
-        for bs in branch.samples:
-            u, v = bs.point
-            if u not in (umin, umax) and v not in (vmin, vmax):
-                continue
-            if bs.point not in rates:
-                frame = normalize_at(surface, bs.point)
-                rates[bs.point] = [pick_derivative(frame, w) for w in axes]
-                for rate, w in zip(rates[bs.point], axes):
-                    assert rate == pytest.approx(
-                        pick_rate_richardson(wide, bs.point, w), rel=1e-6)
-            sol = bs.solution
-            assert sol.regular is regularity_rule(
-                sol.simple_root, sol.mu_prime, rates[bs.point])
-            flags.append(sol.regular)
-    assert len(rates) == 40 and True in flags
+            assert pick_derivative(turned, turn(p, phi), turn(w, phi)) \
+                == pytest.approx(rate, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,8 +980,8 @@ def test_compute_sample_normalizes_and_finds_roots_once(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kw)
         monkeypatch.setattr(evolute, name, counted)
-    # the base point once, whatever the number of Pick directions
-    for picks, normalizations in ((8, 1), (2, 1), (0, 1)):
+    # the base point once, plus two stencil points per Pick direction
+    for picks, normalizations in ((2, 5), (0, 1)):
         calls.clear()
         sample = evolute.compute_sample(s, (0, 0), (0.02, -0.01),
                                         pick_directions=picks)
@@ -1165,7 +1079,7 @@ def test_branch_velocity_transverse_leaves_transon_plane():
     assert abs(cubic_factor) > 1e-3  # the branch direction is no cubic zero
 
     w = (math.sqrt(0.5), math.sqrt(0.5))
-    b_rate = pick_rate_by_stencil(surface, (0.0, 0.0), w, h=5e-5)
+    b_rate = pick_derivative(surface, (0.0, 0.0), w, h=5e-5)
     assert abs(b_rate) > 1e-3
 
     X0, _, m0 = _canonical_center(surface, ref, (0.0, 0.0), theta_k)

@@ -32,7 +32,7 @@ def test_tracer_targets_resolve():
 def test_reference_trace_calls_run():
     """``perfbench/reference.py`` traces cubic_six with 0, 2 and 8 Pick
     directions; each call runs, and every solution carries a regularity
-    flag exactly when the Pick rates are on."""
+    flag exactly when the stencil ran."""
     from aek.cli import build_surface, load_spec
     from aek.evolute import trace_evolute
 
