@@ -187,7 +187,11 @@ class DirectionRoots:
 
     identically_zero: bool
     roots: tuple
-    scale: float
+    sextic: DirectionSextic
+
+    @property
+    def scale(self) -> float:
+        return self.sextic.scale()
 
 
 def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
@@ -204,9 +208,8 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
     :meth:`DirectionSextic.is_simple_root`.
     """
     sextic = direction_sextic(frame)
-    scale = sextic.scale()
     if sextic.is_identically_zero():
-        return DirectionRoots(True, (), scale)
+        return DirectionRoots(True, (), sextic)
 
     q = integer_coefficients(sextic.q_coeffs)
     flip = [c if k % 2 == 0 else -c for k, c in enumerate(q)]
@@ -224,7 +227,7 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
             q_derivative=sextic.theta_derivative(th),
         )
         for th in sorted({th % math.pi for th in thetas})
-    ), scale)
+    ), sextic)
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,13 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     """
     fr = to_float_frame(frame)
     sextic = direction_sextic(fr)
+    return _solve_at_root(fr, sextic, theta, sextic.is_simple_root(theta))
+
+
+def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic, theta: float,
+                   simple: bool) -> EvoluteSolution:
+    """:func:`solve_evolute_point` on the float frame ``fr``, given its
+    sextic and whether theta is a simple root of it."""
     if not sextic.is_root(theta):
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: "
@@ -283,7 +293,6 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
             best_det, best_drop = dval, drop
 
     d_value = float(det4(tuple((*cov, r) for cov, r in rows)))
-    simple = sextic.is_simple_root(theta)
     mu_prime = section_curvature_rate(fr, (xi, eta))
     mc = moutard_center(fr, (xi, eta))
 
@@ -452,8 +461,8 @@ def compute_sample(surface: SurfaceModel, index, point,
 
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
     sampled along that many chart directions, and every solution gets
-    its ``regular`` flag from those rates.  The point is normalized and
-    its roots are found once, and every root reuses them.  A float
+    its ``regular`` flag from those rates.  The point is normalized, and
+    its sextic built and its roots found, once; every root reuses them.  A float
     overflow anywhere in the sample makes it an ``error`` sample.
     """
     try:
@@ -484,9 +493,11 @@ def compute_sample(surface: SurfaceModel, index, point,
             ))
         else:
             status = "ok"
+            fr = to_float_frame(frame)
             for root in droots.roots:
                 try:
-                    sols.append(solve_evolute_point(frame, root.theta))
+                    sols.append(_solve_at_root(fr, droots.sextic, root.theta,
+                                               root.simple))
                 except (NoSolutionError, RankDeficientError) as exc:
                     messages.append(f"theta={root.theta:.4f}: {exc}")
         if rates is not None:

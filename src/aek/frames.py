@@ -365,21 +365,51 @@ def _sym_inv_sqrt2(h00, h01, h11, mode: str):
     )
 
 
-def _graph_shear(h: Jet2, alpha, beta) -> Jet2:
-    """Height function after substituting x -> x + alpha z, y -> y + beta z
-    into the graph equation and re-solving for z.
+def _product(pairs, z, size: int) -> list:
+    """The sum of the products of ``pairs`` of binary forms (None: zero),
+    ``size`` coefficients long, summed as a jet product sums, zero
+    coefficients skipped.  A degree-d form lists the coefficients of
+    x^t y^(d-t), t = 0..d, the order of a :class:`Jet2`."""
+    out = [z] * size
+    for p, q in pairs:
+        if p and q:
+            for i, a in enumerate(p):
+                if a:
+                    for j, b in enumerate(q):
+                        if b:
+                            out[i + j] = out[i + j] + a * b
+    return out
 
-    Fixed point of g = h(x + alpha*g, y + beta*g).  The start g = h is
-    right through degree 2 (h has no constant or linear part), and a
-    sweep turns an error of degree d into one of degree d + 1, so
-    ``order - 2`` sweeps are exact at the jet order.
-    """
-    order, mode = h.order, h.mode
-    xj = Jet2.variable("x", order, mode)
-    yj = Jet2.variable("y", order, mode)
-    g = h
-    for _ in range(order - 2):
-        g = substitute(h, (xj + g.scaled(alpha), yj + g.scaled(beta)))
+
+def _substitute_parts(parts, lin, shear=None) -> list:
+    """The homogeneous parts of g = h(X, Y), degree by degree, for the
+    parts of h (none below degree 2) and the linear forms ``lin``.  With
+    ``shear`` = (alpha, beta), X = x + alpha g and Y = y + beta g: the
+    graph shear, whose part of degree d needs those of g below d only.
+    Powers and products run in the order of a jet ``substitute``, whose
+    result this equals float for float."""
+    z = parts[0][0]
+    pw = ({(1, 1): lin[0]}, {(1, 1): lin[1]})  # (i, m): [X^i]_m, [Y^i]_m
+    g = [[z], [z, z]]
+    for d in range(2, len(parts)):
+        for v, p in enumerate(pw):
+            if shear and d > 2:
+                p[1, d - 1] = [shear[v] * c for c in g[d - 1]]
+            for i in range(2, d + 1):
+                p[i, d] = _product(((p.get((i - 1, e)), p.get((1, d - e)))
+                                    for e in range(i - 1, d)), z, d + 1)
+        acc = [z] * (d + 1)
+        for k in range(2, d + 1):
+            for i, c in enumerate(parts[k]):
+                j = k - i
+                if c:
+                    term = (pw[0][i, d] if not j else pw[1][j, d] if not i
+                            else _product(((pw[0].get((i, e)),
+                                            pw[1].get((j, d - e)))
+                                           for e in range(i, d - j + 1)),
+                                          z, d + 1))
+                    acc = [a + c * t for a, t in zip(acc, term)]
+        g.append(acc)
     return g
 
 
@@ -411,12 +441,14 @@ def _snap_normal_form(jet: Jet2) -> Jet2:
 def normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     """Blaschke-normalize the surface at chart point ``p0``.
 
-    Steps: recenter and subtract the tangent-plane affine part; apply
-    the inverse symmetric square root of the Hessian to the chart so
-    the quadratic part becomes (x^2+y^2)/2; shear along z to make the
-    cubic part apolar.  In rational mode the Hessian square root must
-    exist in Q; a point that cannot be normalized for this or another
-    reason (float overflow) raises :class:`NormalizationError`.
+    Steps, on the homogeneous parts of degree <= 5 only: recenter and
+    subtract the tangent-plane affine part; apply the inverse symmetric
+    square root of the Hessian to the chart, which maps each part to
+    itself, so the quadratic part becomes (x^2+y^2)/2; shear along z to
+    make the cubic part apolar, solved degree by degree.  In rational
+    mode the Hessian square root must exist in Q; a point that cannot be
+    normalized for this or another reason (float overflow) raises
+    :class:`NormalizationError`.
     """
     try:
         return _normalize_at(surface, p0)
@@ -431,42 +463,34 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     if not surface.contains(p0):
         raise PatchBoundsError(f"point {p0} outside patch {surface.patch}")
 
-    shifted = surface.height.shifted(p0)
-    c0 = shifted.coefficient(0, 0)
-    gu = shifted.coefficient(1, 0)
-    gv = shifted.coefficient(0, 1)
-    base = {e: c for e, c in shifted.terms()
-            if e not in ((0, 0), (1, 0), (0, 1))}
-    h = Jet2.from_terms(base, shifted.order, mode).truncated(5)
-
+    shifted = surface.height.shifted(p0, 5)
+    c0, gu, gv = (shifted.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1)))
     o, z = one(mode), zero(mode)
-    map1 = AffineMap3(
-        ((o, z, z), (z, o, z), (gu, gv, o)),
-        (p0[0], p0[1], c0),
-        mode,
-    )
-
-    h00 = 2 * h.coefficient(2, 0)
-    h01 = h.coefficient(1, 1)
-    h11 = 2 * h.coefficient(0, 2)
-    s00, s01, s11 = _sym_inv_sqrt2(h00, h01, h11, mode)
-    xj = Jet2.variable("x", 5, mode)
-    yj = Jet2.variable("y", 5, mode)
-    h = substitute(h, (xj.scaled(s00) + yj.scaled(s01),
-                       xj.scaled(s01) + yj.scaled(s11)))
-    map2 = AffineMap3(
-        ((s00, s01, z), (s01, s11, z), (z, z, o)), (z, z, z), mode
-    )
-
-    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
-    h = _graph_shear(h, alpha, beta)
-    map3 = AffineMap3(
-        ((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z), mode
-    )
-
+    cs = shifted.coeffs
+    parts = [[z], [z, z]] + [list(cs[d * (d + 1) // 2:(d + 1) * (d + 2) // 2])
+                             for d in range(2, 6)]
+    s00, s01, s11 = _sym_inv_sqrt2(
+        2 * parts[2][2], parts[2][1], 2 * parts[2][0], mode)
+    # S = 2^e R: R is exact, and the part of degree d takes the factor
+    # 2^(d e) in one rounding, which underflows only where the result does
+    e = math.frexp(max(abs(s00), abs(s01), abs(s11)))[1] if mode == FLOAT else 0
+    r00, r01, r11 = (math.ldexp(s, -e) if e else s for s in (s00, s01, s11))
+    parts = _substitute_parts(parts, ([r01, r00], [r11, r01]))
+    if e:
+        parts = [[math.ldexp(c, d * e) for c in part]
+                 for d, part in enumerate(parts)]
+    alpha, beta = (-r / 2 for r in _apolarity_pair(
+        Jet2(5, mode, [c for part in parts for c in part])))
+    parts = _substitute_parts(parts, ([z, o], [o, z]), (alpha, beta))
+    h = Jet2(5, mode, [c for part in parts for c in part])
     if mode == FLOAT:
         h = _snap_normal_form(h)
-    world_from_local = map1.compose(map2).compose(map3)
+    world_from_local = AffineMap3(
+        ((o, z, z), (z, o, z), (gu, gv, o)), (p0[0], p0[1], c0), mode
+    ).compose(AffineMap3(
+        ((s00, s01, z), (s01, s11, z), (z, z, o)), (z, z, z), mode
+    )).compose(AffineMap3(
+        ((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z), mode))
     return BlaschkeFrame(h, world_from_local)
 
 

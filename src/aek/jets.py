@@ -337,29 +337,34 @@ class Jet2(_Jet):
     def compose(self, sub_x: "Jet2", sub_y: "Jet2") -> "Jet2":
         return substitute(self, (sub_x, sub_y))
 
-    def shifted(self, center) -> "Jet2":
-        """Recenter: coefficients of p(x + cx, y + cy), same order.
-
-        Exact for the polynomial the table stores (a shift does not
-        raise the degree).
+    def shifted(self, center, order: int | None = None) -> "Jet2":
+        """Recenter: the terms of p(x + cx, y + cy) of degree <= ``order``
+        (default: the jet's own), exact for the polynomial the table
+        stores.  Each kept term sums the same products in the same order
+        at any ``order``: ``shifted(c, k) == shifted(c).truncated(k)``.
         """
         cx, cy = (coerce(c, self.mode) for c in center)
         n = self.order
+        m = n if order is None else order
         # cached powers of the shift
         px = [coerce(1, self.mode)]
         py = [coerce(1, self.mode)]
         for _ in range(n):
             px.append(px[-1] * cx)
             py.append(py[-1] * cy)
-        idx = _index(2, n)
-        out = [zero(self.mode)] * len(self.coeffs)
+        comb = math.comb
+        out = [zero(self.mode)] * len(_exponents(2, m))
+        rows = {}  # j -> (l(l+1)/2, l, C(j, l), cy^(j-l)) for l <= min(j, m)
         for (i, j), c in self.terms():
-            for k in range(i + 1):
-                cik = math.comb(i, k) * px[i - k]
-                for l in range(j + 1):
-                    w = c * cik * math.comb(j, l) * py[j - l]
-                    out[idx[(k, l)]] = out[idx[(k, l)]] + w
-        return Jet2(n, self.mode, out)
+            if j not in rows:
+                rows[j] = [(l * (l + 1) // 2, l, comb(j, l), py[j - l])
+                           for l in range(min(j, m) + 1)]
+            for k in range(min(i, m) + 1):
+                ck = c * (comb(i, k) * px[i - k])
+                for tri, l, cjl, pyl in rows[j][:m - k + 1]:
+                    s = tri + k * (k + 2 * l + 3) // 2  # the index of x^k y^l
+                    out[s] = out[s] + ck * cjl * pyl
+        return Jet2(m, self.mode, out)
 
     def to_float(self) -> "Jet2":
         if self.mode == FLOAT:

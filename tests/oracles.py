@@ -5,6 +5,8 @@ point is to check that machinery against evaluation-only computations
 (exact interpolation, quadrature, finite-difference stencils with
 self-derived weights), or, for the Pick rate, a closed form read off
 one frame that checks the package's stencil of nearby normalizations.
+The Blaschke normalization by whole-jet substitution is the reference
+the package's graded normalization is checked against.
 """
 
 from __future__ import annotations
@@ -16,9 +18,16 @@ from itertools import product
 
 import numpy as np
 
-from aek.frames import AffineMap3, SurfaceModel
+from aek.frames import (
+    AffineMap3,
+    BlaschkeFrame,
+    SurfaceModel,
+    _apolarity_pair,
+    _snap_normal_form,
+    _sym_inv_sqrt2,
+)
 from aek.jets import Jet2, substitute
-from aek.scalars import FLOAT
+from aek.scalars import FLOAT, coerce, one, zero
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +333,60 @@ def pick_invariant_rate(frame, direction_w):
     gy = k * inv[1][2] + a * (f31 - 3 * f13) / 2 + b * (2 * f04 - f22)
     vx, vy = m[1][1] * wx - m[0][1] * wy, m[0][0] * wy - m[1][0] * wx
     return (gx * vx + gy * vy) / (m[0][0] * m[1][1] - m[0][1] * m[1][0])
+
+
+# ---------------------------------------------------------------------------
+# Blaschke normalization by whole-jet substitution
+
+
+def graph_shear(h: Jet2, alpha, beta) -> Jet2:
+    """Height function after substituting x -> x + alpha z, y -> y + beta z
+    into the graph equation and re-solving for z.
+
+    Fixed point of g = h(x + alpha*g, y + beta*g).  The start g = h is
+    right through degree 2 (h has no constant or linear part), and a
+    sweep turns an error of degree d into one of degree d + 1, so
+    ``order - 2`` sweeps are exact at the jet order.
+    """
+    order, mode = h.order, h.mode
+    xj = Jet2.variable("x", order, mode)
+    yj = Jet2.variable("y", order, mode)
+    g = h
+    for _ in range(order - 2):
+        g = substitute(h, (xj + g.scaled(alpha), yj + g.scaled(beta)))
+    return g
+
+
+def normalize_by_substitution(surface: SurfaceModel, p0) -> BlaschkeFrame:
+    """The frame of ``normalize_at`` by the route of whole jets: shift
+    the full jet, drop its constant and linear terms, truncate at order
+    5, substitute the Hessian step into the jet, and shear by
+    :func:`graph_shear`."""
+    mode = surface.mode
+    p0 = tuple(coerce(c, mode) for c in p0)
+    shifted = surface.height.shifted(p0)
+    c0, gu, gv = (shifted.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1)))
+    h = Jet2.from_terms({e: c for e, c in shifted.terms() if sum(e) > 1},
+                        shifted.order, mode).truncated(5)
+    s00, s01, s11 = _sym_inv_sqrt2(2 * h.coefficient(2, 0),
+                                   h.coefficient(1, 1),
+                                   2 * h.coefficient(0, 2), mode)
+    xj = Jet2.variable("x", 5, mode)
+    yj = Jet2.variable("y", 5, mode)
+    h = substitute(h, (xj.scaled(s00) + yj.scaled(s01),
+                       xj.scaled(s01) + yj.scaled(s11)))
+    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
+    h = graph_shear(h, alpha, beta)
+    if mode == FLOAT:
+        h = _snap_normal_form(h)
+    o, z = one(mode), zero(mode)
+    world = AffineMap3(((o, z, z), (z, o, z), (gu, gv, o)),
+                       (p0[0], p0[1], c0), mode).compose(
+        AffineMap3(((s00, s01, z), (s01, s11, z), (z, z, o)), (z, z, z),
+                   mode)).compose(
+        AffineMap3(((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z),
+                   mode))
+    return BlaschkeFrame(h, world)
 
 
 # ---------------------------------------------------------------------------

@@ -990,6 +990,24 @@ def test_compute_sample_normalizes_and_finds_roots_once(monkeypatch):
                          "evolute_directions": 1}
 
 
+def test_compute_sample_builds_the_sextic_once(monkeypatch):
+    """Every root's solve reuses the sextic of the root search and the
+    certified root's simplicity: one sextic for six roots."""
+    import aek.evolute as evolute
+
+    s = build_surface(load_spec(str(SPECS / "cubic_six.json")))
+    calls = []
+
+    def counted(frame, _fn=evolute.direction_sextic):
+        calls.append(frame)
+        return _fn(frame)
+
+    monkeypatch.setattr(evolute, "direction_sextic", counted)
+    sample = evolute.compute_sample(s.to_float(), (0, 0), (0.02, -0.01))
+    assert sample.status == "ok" and len(sample.solutions) == 6
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # branch velocity (tangency of the traced branch)
 

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aek.errors import (
     NonConvexPointError,
@@ -14,7 +17,8 @@ from aek.frames import (
     AffineMap3,
     BlaschkeFrame,
     SurfaceModel,
-    _graph_shear,
+    _apolarity_pair,
+    _sym_inv_sqrt2,
     frame_from_coefficients,
     normalize_at,
     pull_back,
@@ -28,16 +32,21 @@ from aek.frames import (
 )
 from aek.geometry import Plane3
 from aek.invariants import moutard_center
+from aek.cli import build_surface, load_spec
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
     PYTHAGOREAN_DIRECTIONS,
     chart_preserving_unimodular,
+    graph_shear,
     map_chart_point,
+    normalize_by_substitution,
     sphere_surface,
     transform_graph_surface,
 )
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def surface(coeffs, patch=(-1, 1, -1, 1), mode=RATIONAL):
@@ -118,7 +127,7 @@ def test_graph_shear_is_an_exact_fixed_point():
             {(i, d - i): draw() for d in range(2, 6) for i in range(d + 1)},
             5, RATIONAL)
         alpha, beta = draw(), draw()
-        g = _graph_shear(h, alpha, beta)
+        g = graph_shear(h, alpha, beta)
         assert substitute(h, (xj + g.scaled(alpha),
                               yj + g.scaled(beta))) == g
 
@@ -179,6 +188,116 @@ def test_sphere_polynomial_normalizes_to_sphere_jet():
     assert fr.f4[2] == pytest.approx(1 / 4, abs=1e-13)
     assert fr.f4[4] == pytest.approx(1 / 8, abs=1e-13)
     assert fr.f50 == pytest.approx(0, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the graded normalization against the route of whole jets
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _rational_height(draw):
+    """A rational height of degree <= 8 with a tilted tangent plane, and a
+    base point off the origin where its Hessian is R diag(p^2, q^2) R^T,
+    R a Pythagorean rotation: its inverse square root is rational."""
+    c, s = draw(st.sampled_from(PYTHAGOREAN_DIRECTIONS))
+    p, q = (draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                              max_denominator=4)) for _ in range(2))
+    degree = draw(st.integers(3, 8))
+    terms = {(i, d - i): draw(_small)
+             for d in range(3, degree + 1) for i in range(d + 1)}
+    terms.update({(0, 0): draw(_small), (1, 0): draw(_small),
+                  (0, 1): draw(_small),
+                  (2, 0): (c * c * p * p + s * s * q * q) / 2,
+                  (1, 1): c * s * (p * p - q * q),
+                  (0, 2): (s * s * p * p + c * c * q * q) / 2})
+    base = (draw(_small.filter(bool)), draw(_small))
+    local = Jet2.from_terms(terms, degree, RATIONAL)
+    height = local.shifted((-base[0], -base[1]))
+    return SurfaceModel(height, (-3, 3, -3, 3), check_convexity=False), base
+
+
+@settings(max_examples=25, deadline=None)
+@given(_rational_height())
+def test_graded_normalization_equals_whole_jet_route_exactly(case):
+    """Shift to degree 5, Hessian step part by part, shear degree by
+    degree: the same jet and world map as shifting the whole jet and
+    substituting into it, exactly."""
+    surface, base = case
+    assert normalize_at(surface, base) == normalize_by_substitution(
+        surface, base)
+
+
+def _assert_frames_agree(got, want, rel=1e-12):
+    scale = max(1.0, want.normalized.max_abs())
+    assert max(abs(a - b) for a, b in zip(got.normalized.coeffs,
+                                          want.normalized.coeffs)) \
+        <= rel * scale
+    for m_got, m_want in ((got.world_from_local.linear,
+                           want.world_from_local.linear),
+                          ((got.world_from_local.translation,),
+                           (want.world_from_local.translation,))):
+        flat_got = [c for row in m_got for c in row]
+        flat_want = [c for row in m_want for c in row]
+        scale = max(1.0, max(abs(c) for c in flat_want))
+        assert max(abs(a - b) for a, b in zip(flat_got, flat_want)) \
+            <= rel * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-0.5, 0.5), min_size=39, max_size=39),
+       st.tuples(st.floats(0.5, 1.5), st.floats(-0.3, 0.3),
+                 st.floats(0.5, 1.5)),
+       st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
+def test_graded_normalization_tracks_whole_jet_route_in_floats(
+        high, quadratic, point):
+    terms = dict(zip(((i, d - i) for d in range(3, 9) for i in range(d + 1)),
+                     high))
+    terms.update(zip(((2, 0), (1, 1), (0, 2)), quadratic))
+    s = surface(terms, patch=(-0.1, 0.1, -0.1, 0.1), mode=FLOAT)
+    _assert_frames_agree(normalize_at(s, point),
+                         normalize_by_substitution(s, point))
+
+
+def test_graded_normalization_tracks_whole_jet_route_on_the_sphere():
+    s = build_surface(load_spec(str(SPECS / "sphere.json")))
+    for u in (-0.02, 0.0, 0.013):
+        for v in (-0.017, 0.0, 0.02):
+            _assert_frames_agree(normalize_at(s, (u, v)),
+                                 normalize_by_substitution(s, (u, v)))
+
+
+def test_hessian_step_keeps_a_tiny_cubic():
+    """At (-1, -1) the Hessian step scales the cubic by s00^3, about
+    2.4e-452, and the quartic by s11^4: a float product of those factors
+    underflows, so the part of each degree takes its power of the scale
+    in one rounding.  The cubic a = c30 s00^3 / 4 (h01 = 0) and f04 (the
+    quartic's c04 s11^4 plus the shear's terms) come out as the exact
+    rational route gives them from the same floats."""
+    huge = surface({(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1e160, (4, 0): 1e300,
+                    (0, 4): 1e300}, mode=FLOAT)
+    p0 = (-1.0, -1.0)
+    fr = normalize_at(huge, p0)
+    shifted = huge.height.shifted(p0, 5)
+    s00, s01, s11 = _sym_inv_sqrt2(2 * shifted.coefficient(2, 0),
+                                   shifted.coefficient(1, 1),
+                                   2 * shifted.coefficient(0, 2), FLOAT)
+    assert s01 == 0
+    h = Jet2.from_terms({e: Fraction(c) for e, c in shifted.terms()
+                         if sum(e) > 1}, 5, RATIONAL)
+    xj = Jet2.variable("x", 5, RATIONAL)
+    yj = Jet2.variable("y", 5, RATIONAL)
+    h = substitute(h, (xj.scaled(Fraction(s00)), yj.scaled(Fraction(s11))))
+    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
+    exact = graph_shear(h, alpha, beta)
+    cubic = Fraction(shifted.coefficient(3, 0)) * Fraction(s00) ** 3 / 4
+    for got, want in ((fr.a, cubic), (fr.a, exact.coefficient(3, 0)),
+                      (fr.f4[4], exact.coefficient(0, 4))):
+        assert got != 0
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+    assert fr.a == pytest.approx(-2.4056e-152, rel=1e-4)
+    assert fr.f4[4] == pytest.approx(-1.2153e-302, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,21 @@ def test_float_mode_tracks_rational():
             assert worst <= 1e-12 * scale
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_shift_to_an_order_is_the_truncated_shift(data):
+    """``shifted(c, order=k)`` keeps the terms of degree <= k of the full
+    shift, exactly, in both modes and for k below, at and above the
+    jet's order."""
+    order = data.draw(st.integers(0, 8))
+    p = data.draw(_jet_strategy(order))
+    center = data.draw(st.tuples(_fractions, _fractions))
+    k = data.draw(st.integers(0, order + 2))
+    assert p.shifted(center, order=k) == p.shifted(center).truncated(k)
+    pf, cf = p.to_float(), tuple(float(c) for c in center)
+    assert pf.shifted(cf, order=k) == pf.shifted(cf).truncated(k)
+
+
 # ---------------------------------------------------------------------------
 # Jet4 and the affine-in-X wrapper
 

@@ -59,6 +59,11 @@ SPECS = (
         "coefficients": {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200",
                          "4,0": "1e300"},
         "patch": [-1, 1, -1, 1], "mode": "rational"}, None),
+    # normalized cubic about 3e-10 and quartic about 1e-18: the Hessian
+    # step scales the parts of each degree across 28 orders of magnitude
+    ("small_sextic.json", {
+        "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1e8, "4,0": 1e17},
+        "patch": [-1, 1, -1, 1], "mode": "float"}, None),
     # phi = v^2/2 + F(u), F'' = 1 - 1000 prod (u - c)^2 over
     # c in {0, +-0.4, +-0.8}: convex at the load screen's cell centres,
     # not at u = +-0.6 and u = +-1
@@ -92,6 +97,7 @@ COMMANDS = (
     "evolute --spec paraboloid.json --grid 9 --workers 1",
     "evolute --spec huge_float.json --grid 3 --workers 1",
     "evolute --spec huge_rational.json --grid 3 --workers 1",
+    "evolute --spec small_sextic.json --grid 5 --workers 1",
     "evolute --spec interior_pocket.json --grid 11 --workers 1",
     "evolute --spec interior_pocket.json --grid 11 --workers 2",
 )
