@@ -462,8 +462,8 @@ def compute_sample(surface: SurfaceModel, index, point,
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
     sampled along that many chart directions, and every solution gets
     its ``regular`` flag from those rates.  The point is normalized, and
-    its sextic built and its roots found, once; every root reuses them.  A float
-    overflow anywhere in the sample makes it an ``error`` sample.
+    its sextic built and its roots found, once; every root reuses them.
+    A float overflow anywhere in the sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aek.cli import build_surface, load_spec
 from aek.errors import (
     NonConvexPointError,
     NormalizationError,
@@ -32,7 +33,6 @@ from aek.frames import (
 )
 from aek.geometry import Plane3
 from aek.invariants import moutard_center
-from aek.cli import build_surface, load_spec
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
