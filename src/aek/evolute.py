@@ -189,10 +189,6 @@ class DirectionRoots:
     roots: tuple
     sextic: DirectionSextic
 
-    @property
-    def scale(self) -> float:
-        return self.sextic.scale()
-
 
 def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
     """Real roots of the direction sextic on [0, pi), certified.
@@ -265,14 +261,13 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     otherwise :class:`RankDeficientError` is raised.
     """
     fr = to_float_frame(frame)
-    sextic = direction_sextic(fr)
-    return _solve_at_root(fr, sextic, theta, sextic.is_simple_root(theta))
+    return _solve_at_root(fr, direction_sextic(fr), theta)
 
 
-def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic, theta: float,
-                   simple: bool) -> EvoluteSolution:
+def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
+                   theta: float) -> EvoluteSolution:
     """:func:`solve_evolute_point` on the float frame ``fr``, given its
-    sextic and whether theta is a simple root of it."""
+    sextic."""
     if not sextic.is_root(theta):
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: "
@@ -293,6 +288,7 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic, theta: float,
             best_det, best_drop = dval, drop
 
     d_value = float(det4(tuple((*cov, r) for cov, r in rows)))
+    simple = sextic.is_simple_root(theta)
     mu_prime = section_curvature_rate(fr, (xi, eta))
     mc = moutard_center(fr, (xi, eta))
 
@@ -493,11 +489,13 @@ def compute_sample(surface: SurfaceModel, index, point,
             ))
         else:
             status = "ok"
+            # the roots of an exact frame are found on its exact sextic;
+            # the solve runs on the float frame and its sextic
             fr = to_float_frame(frame)
+            sextic = droots.sextic if fr is frame else direction_sextic(fr)
             for root in droots.roots:
                 try:
-                    sols.append(_solve_at_root(fr, droots.sextic, root.theta,
-                                               root.simple))
+                    sols.append(_solve_at_root(fr, sextic, root.theta))
                 except (NoSolutionError, RankDeficientError) as exc:
                     messages.append(f"theta={root.theta:.4f}: {exc}")
         if rates is not None:

@@ -452,9 +452,10 @@ def normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     """
     try:
         return _normalize_at(surface, p0)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        why = f"float overflow: {exc}" if isinstance(exc, OverflowError) else exc
         raise NormalizationError(
-            f"cannot normalize at ({p0[0]}, {p0[1]}): {exc}") from None
+            f"cannot normalize at ({p0[0]}, {p0[1]}): {why}") from None
 
 
 def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:

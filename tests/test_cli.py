@@ -593,6 +593,9 @@ def test_evolute_reports_workers_that_ran(tmp_path, capsys):
 _HUGE_FLOAT = {"2,0": 0.5, "0,2": 0.5, "3,0": 1e160, "4,0": 1e300,
                "0,4": 1e300}
 _HUGE_RATIONAL = {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200", "4,0": "1e300"}
+#: a Hessian so small on u = 0 that the Hessian step scales the quartic
+#: part past the float range there
+_TINY_HESSIAN = {"2,0": 5e-151, "0,2": 5e-151, "4,0": 1e10}
 
 
 @pytest.mark.parametrize("mode, coefficients, overflowed", [
@@ -601,6 +604,8 @@ _HUGE_RATIONAL = {"2,0": "1/2", "0,2": "1/2", "3,0": "1e200", "4,0": "1e300"}
     ("float", _HUGE_FLOAT, [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]),
     # the sextic's coefficient scale overflows when squared
     ("rational", _HUGE_RATIONAL, [[1, 0], [1, 1], [1, 2]]),
+    # the frames of the column u = 0 overflow in the Hessian step
+    ("float", _TINY_HESSIAN, [[1, 0], [1, 1], [1, 2]]),
 ])
 def test_evolute_records_float_overflow(tmp_path, capsys, mode,
                                         coefficients, overflowed):
@@ -648,6 +653,19 @@ def test_normalize_overflowed_float_frame_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == ("error: cannot normalize at (0.0, 0.0): float overflow: "
                    "a jet coefficient is inf or NaN\n")
+
+
+def test_normalize_tiny_hessian_overflow_exit_2(tmp_path, capsys):
+    """A Hessian step whose result leaves the float range is refused as
+    an overflow, not ended in a traceback."""
+    path = write_spec(tmp_path, "tiny.json", {
+        "coefficients": _TINY_HESSIAN, "patch": [-1, 1, -1, 1],
+    })
+    code, out, err = run_cli(capsys, "normalize", "--spec", path,
+                             "--point", "0,0")
+    assert code == 2 and out == ""
+    assert err == ("error: cannot normalize at (0.0, 0.0): float overflow: "
+                   "math range error\n")
 
 
 @pytest.mark.parametrize("umin, umax", [

@@ -189,7 +189,7 @@ def test_random_roots_satisfy_postconditions():
         assert len(out.roots) <= 6
         s = direction_sextic(fr)
         for r in out.roots:
-            assert abs(s.theta_value(r.theta)) <= 1e-8 * out.scale
+            assert abs(s.theta_value(r.theta)) <= 1e-8 * out.sextic.scale()
             assert 0 <= r.theta < math.pi
 
 
@@ -991,8 +991,8 @@ def test_compute_sample_normalizes_and_finds_roots_once(monkeypatch):
 
 
 def test_compute_sample_builds_the_sextic_once(monkeypatch):
-    """Every root's solve reuses the sextic of the root search and the
-    certified root's simplicity: one sextic for six roots."""
+    """Every root's solve reuses the sextic of the root search: one
+    sextic for six roots."""
     import aek.evolute as evolute
 
     s = build_surface(load_spec(str(SPECS / "cubic_six.json")))
@@ -1006,6 +1006,38 @@ def test_compute_sample_builds_the_sextic_once(monkeypatch):
     sample = evolute.compute_sample(s.to_float(), (0, 0), (0.02, -0.01))
     assert sample.status == "ok" and len(sample.solutions) == 6
     assert len(calls) == 1
+
+
+def test_rational_sample_solves_on_the_float_frame(monkeypatch):
+    """A rational sample finds its roots on the exact sextic and solves
+    each on the float frame and its sextic, as
+    :func:`solve_evolute_point` does.  At (20/169, 0) the Hessian is
+    diag(17^2, 7^2)/13^2 and the two sextics differ."""
+    import aek.evolute as evolute
+
+    s = SurfaceModel.from_coefficients(
+        {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2), (3, 0): 1,
+         (1, 2): -3},
+        (Fraction(1, 10), Fraction(13, 100), Fraction(-1, 100),
+         Fraction(1, 100)), RATIONAL,
+    )
+    p = (Fraction(20, 169), 0)
+    frame = normalize_at(s, p)
+    floats = direction_sextic(to_float_frame(frame)).q_coeffs
+    assert direction_sextic(frame).q_coeffs != floats
+    solved = []
+
+    def recorded(fr, sextic, theta, _fn=evolute._solve_at_root):
+        solved.append(sextic.q_coeffs)
+        return _fn(fr, sextic, theta)
+
+    monkeypatch.setattr(evolute, "_solve_at_root", recorded)
+    sample = compute_sample(s, (0, 0), p)
+    want = [solve_evolute_point(frame, r.theta)
+            for r in evolute_directions(frame).roots]
+    assert sample.status == "ok" and len(want) == 6
+    assert list(sample.solutions) == want
+    assert solved[:6] == [floats] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,16 @@ def test_hessian_step_keeps_a_tiny_cubic():
     assert fr.f4[4] == pytest.approx(-1.2153e-302, rel=1e-4)
 
 
+def test_hessian_step_overflow_is_a_normalization_error():
+    """At the origin s00 = s11 = 1e75, so the Hessian step scales the
+    quartic c40 = 1e10 by s00^4 = 1e300 past the float range: a
+    NormalizationError, as for any other float overflow."""
+    tiny = surface({(2, 0): 5e-151, (0, 2): 5e-151, (4, 0): 1e10},
+                   mode=FLOAT)
+    with pytest.raises(NormalizationError, match="float overflow"):
+        normalize_at(tiny, (0.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # rotations
 
