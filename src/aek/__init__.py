@@ -38,7 +38,6 @@ from .frames import (
     normalize_at,
     pull_back,
     pull_back_direction,
-    push_forward,
     random_frame,
     rotate_frame,
     rotate_to,
@@ -62,7 +61,6 @@ from .midplanes import (
     EnvelopeSystem,
     check_cubic_term,
     check_quartic_term,
-    envelope_limit_probe,
     envelope_system,
     expand_mid_plane,
     mid_plane,

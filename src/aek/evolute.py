@@ -57,6 +57,8 @@ ROOT_ACCEPT = 1e-9
 SIMPLE_ROOT_THRESHOLD = 1e-6
 #: neighbour roots link into one branch only within this angle (rad)
 BRANCH_LINK_ANGLE = 0.2
+#: chart step of the Pick-rate stencil
+PICK_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -329,17 +331,18 @@ def pick_invariant(frame: BlaschkeFrame):
     return frame.a * frame.a + frame.b * frame.b
 
 
-def pick_derivative(surface: SurfaceModel, p0, direction_w,
-                    h: float = 1e-4) -> float:
+def pick_derivative(surface: SurfaceModel, p0, direction_w) -> float:
     """Directional derivative of the Pick norm |kappa| = sqrt(a^2 + b^2).
 
-    Central finite difference along the chart line through p0.  |kappa|
-    is the coefficient b >= 0 of the frame turned to kill a, whichever
-    of the three such turns is taken, so no frame continuation is needed.
+    Central finite difference of step :data:`PICK_STEP` along the chart
+    line through p0.  |kappa| is the coefficient b >= 0 of the frame
+    turned to kill a, whichever of the three such turns is taken, so no
+    frame continuation is needed.
     Both stencil points are checked against the patch before either is
     normalized, so a stencil that leaves the patch costs no
     normalization.
     """
+    h = PICK_STEP
     wx, wy = unit_direction(direction_pair(direction_w))
     surface = surface.to_float()
     p0 = (float(p0[0]), float(p0[1]))

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import NonConvexPointError, NormalizationError, PatchBoundsError
 from .geometry import Plane3, Quadric3, direction_pair, unit_direction
-from .jets import Jet2, substitute
+from .jets import Jet2
 from .matutil import det3, inv3, matmul3, matvec3, transpose3
 from .scalars import (
     FLOAT,
@@ -204,10 +204,6 @@ class SurfaceModel:
             self._hyy.evaluate(point),
         )
 
-    def world_point(self, point):
-        u, v = point
-        return (u, v, self.value(point))
-
     def to_float(self) -> "SurfaceModel":
         if self.mode == FLOAT:
             return self
@@ -381,6 +377,20 @@ def _product(pairs, z, size: int) -> list:
     return out
 
 
+def _graded_parts(jet: Jet2) -> list:
+    """The homogeneous parts of an order-5 jet as binary forms (see
+    :func:`_product`), those of degree 0 and 1 taken as zero."""
+    z = zero(jet.mode)
+    cs = jet.coeffs
+    return [[z], [z, z]] + [list(cs[d * (d + 1) // 2:(d + 1) * (d + 2) // 2])
+                            for d in range(2, 6)]
+
+
+def _jet_of_parts(parts, mode: str) -> Jet2:
+    """The order-5 jet whose homogeneous parts are ``parts``."""
+    return Jet2(5, mode, [c for part in parts for c in part])
+
+
 def _substitute_parts(parts, lin, shear=None) -> list:
     """The homogeneous parts of g = h(X, Y), degree by degree, for the
     parts of h (none below degree 2) and the linear forms ``lin``.  With
@@ -467,9 +477,7 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     shifted = surface.height.shifted(p0, 5)
     c0, gu, gv = (shifted.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1)))
     o, z = one(mode), zero(mode)
-    cs = shifted.coeffs
-    parts = [[z], [z, z]] + [list(cs[d * (d + 1) // 2:(d + 1) * (d + 2) // 2])
-                             for d in range(2, 6)]
+    parts = _graded_parts(shifted)
     s00, s01, s11 = _sym_inv_sqrt2(
         2 * parts[2][2], parts[2][1], 2 * parts[2][0], mode)
     # S = 2^e R: R is exact, and the part of degree d takes the factor
@@ -481,9 +489,9 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
         parts = [[math.ldexp(c, d * e) for c in part]
                  for d, part in enumerate(parts)]
     alpha, beta = (-r / 2 for r in _apolarity_pair(
-        Jet2(5, mode, [c for part in parts for c in part])))
+        _jet_of_parts(parts, mode)))
     parts = _substitute_parts(parts, ([z, o], [o, z]), (alpha, beta))
-    h = Jet2(5, mode, [c for part in parts for c in part])
+    h = _jet_of_parts(parts, mode)
     if mode == FLOAT:
         h = _snap_normal_form(h)
     world_from_local = AffineMap3(
@@ -495,42 +503,34 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     return BlaschkeFrame(h, world_from_local)
 
 
-def rotate_frame(frame: BlaschkeFrame, theta: float | None = None, *,
-                 cos_sin=None) -> BlaschkeFrame:
-    """Rotate the local tangent chart.
+def rotate_frame(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
+    """Rotate the local tangent chart by the pair (c, s) = (cos theta,
+    sin theta).
 
     The new basis is chosen so that a point with new coordinates P sits
     at old coordinates R(-theta) P; directions therefore transform as
     D_new = R(theta) D_old, and results pulled through the recorded map
-    are rotation-covariant.  Rational frames require an exact
-    ``cos_sin`` pair with c^2 + s^2 = 1.
+    are rotation-covariant.  A rotation maps each homogeneous part to
+    itself, so the parts move as in :func:`normalize_at`, with no
+    shear.  A rational pair must lie exactly on the unit circle.
     """
     mode = frame.mode
-    if cos_sin is None:
-        if theta is None:
-            raise ValueError("need theta or cos_sin")
-        if mode == RATIONAL:
-            raise ValueError("rational frames need an exact cos_sin pair")
-        import math
-        c, s = math.cos(theta), math.sin(theta)
-    else:
-        c = coerce(cos_sin[0], mode)
-        s = coerce(cos_sin[1], mode)
-        if mode == RATIONAL and c * c + s * s != 1:
-            raise ValueError("cos_sin pair is not on the unit circle")
-    jet = frame.normalized
-    xj = Jet2.variable("x", 5, mode)
-    yj = Jet2.variable("y", 5, mode)
-    rotated = substitute(jet, (xj.scaled(c) + yj.scaled(s),
-                               xj.scaled(-s) + yj.scaled(c)))
+    c, s = (coerce(t, mode) for t in cos_sin)
+    if mode == RATIONAL and c * c + s * s != 1:
+        raise ValueError("cos_sin pair is not on the unit circle")
+    rotated = _jet_of_parts(_substitute_parts(
+        _graded_parts(frame.normalized), ([s, c], [c, -s])), mode)
     if mode == FLOAT:
         rotated = _snap_normal_form(rotated)
-    o, z = one(mode), zero(mode)
-    old_from_new = AffineMap3(
-        ((c, s, z), (-s, c, z), (z, z, o)), (z, z, z), mode
-    )
     return BlaschkeFrame(rotated,
-                         frame.world_from_local.compose(old_from_new))
+                         frame.world_from_local.compose(_rotation(c, s, mode)))
+
+
+def _rotation(c, s, mode: str) -> AffineMap3:
+    """The map from the coordinates of a chart turned by (c, s) =
+    (cos theta, sin theta) to the old ones: P goes to R(-theta) P."""
+    o, z = one(mode), zero(mode)
+    return AffineMap3(((c, s, z), (-s, c, z), (z, z, o)), (z, z, z), mode)
 
 
 def _turn(frame: BlaschkeFrame, direction):
@@ -539,11 +539,7 @@ def _turn(frame: BlaschkeFrame, direction):
     frame's own local chart."""
     mode = frame.mode
     xi, eta = unit_direction(direction_pair(direction, mode), mode)
-    o, z = one(mode), zero(mode)
-    back = AffineMap3(
-        ((xi, -eta, z), (eta, xi, z), (z, z, o)), (z, z, z), mode
-    )
-    return xi, eta, back
+    return xi, eta, _rotation(xi, -eta, mode)
 
 
 def rotate_to(frame: BlaschkeFrame, direction) -> tuple[BlaschkeFrame, AffineMap3]:
@@ -555,7 +551,7 @@ def rotate_to(frame: BlaschkeFrame, direction) -> tuple[BlaschkeFrame, AffineMap
     xi, eta, back = _turn(frame, direction)
     if xi == one(frame.mode) and not eta:
         return frame, AffineMap3.identity(frame.mode)
-    return rotate_frame(frame, cos_sin=(xi, -eta)), back
+    return rotate_frame(frame, (xi, -eta)), back
 
 
 def binary_form(coeffs, x, y):
@@ -600,16 +596,6 @@ def pull_back(frame: BlaschkeFrame, obj):
 
 def pull_back_direction(frame: BlaschkeFrame, vector):
     return frame.world_from_local.apply_vector(vector)
-
-
-def push_forward(frame: BlaschkeFrame, obj):
-    """Map a world point, plane or quadric to local coordinates."""
-    m = frame.world_from_local.inverse()
-    if isinstance(obj, Plane3):
-        return m.apply_plane(obj)
-    if isinstance(obj, Quadric3):
-        return m.apply_quadric(obj)
-    return m.apply_point(obj)
 
 
 def to_float_frame(frame: BlaschkeFrame) -> BlaschkeFrame:

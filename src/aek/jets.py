@@ -293,18 +293,6 @@ class _Jet:
             out[idx[ne]] = out[idx[ne]] + e[j] * c
         return type(self)(self.order, self.mode, out)
 
-    def truncated(self, new_order: int):
-        """Copy with a different order: drop high terms or pad zeros."""
-        exps_new = _exponents(self.nvars, new_order)
-        idx_old = _index(self.nvars, self.order)
-        out = []
-        for e in exps_new:
-            if sum(e) <= self.order:
-                out.append(self.coeffs[idx_old[e]])
-            else:
-                out.append(zero(self.mode))
-        return type(self)(new_order, self.mode, out)
-
     def evaluate(self, point):
         """Evaluate the jet polynomial at a chart point."""
         if len(point) != self.nvars:
@@ -334,14 +322,12 @@ class Jet2(_Jet):
     varnames = ("x", "y")
     __slots__ = ()
 
-    def compose(self, sub_x: "Jet2", sub_y: "Jet2") -> "Jet2":
-        return substitute(self, (sub_x, sub_y))
-
     def shifted(self, center, order: int | None = None) -> "Jet2":
         """Recenter: the terms of p(x + cx, y + cy) of degree <= ``order``
         (default: the jet's own), exact for the polynomial the table
         stores.  Each kept term sums the same products in the same order
-        at any ``order``: ``shifted(c, k) == shifted(c).truncated(k)``.
+        at any ``order``, so ``shifted(c, k)`` equals the terms of degree
+        <= k of ``shifted(c)``.
         """
         cx, cy = (coerce(c, self.mode) for c in center)
         n = self.order

@@ -22,7 +22,7 @@ from .errors import DegeneratePairError
 from .frames import BlaschkeFrame, SurfaceModel, to_float_frame
 from .geometry import Plane3, direction_pair, plane_distance, unit_direction
 from .jets import Jet4, LinearFormJet
-from .scalars import FLOAT, RATIONAL, coerce, zero
+from .scalars import RATIONAL, coerce, zero
 
 _SCALE = -2  # see module docstring
 #: float noise floor of a probe distance
@@ -51,23 +51,11 @@ class LinearEquation:
         x, y, z = point
         return n1 * x + n2 * y + n3 * z - self.rhs
 
-    def scaled(self, factor):
-        return LinearEquation(
-            tuple(factor * c for c in self.coeffs), factor * self.rhs, self.mode
-        )
-
     def as_plane(self) -> Plane3:
         return Plane3(self.coeffs, self.rhs, self.mode)
 
     def max_abs(self) -> float:
         return max(abs(float(c)) for c in (*self.coeffs, self.rhs))
-
-
-def equation_distance(e1: LinearEquation, e2: LinearEquation) -> float:
-    """Scale-free gap between two affine conditions (see plane_distance)."""
-    if e1.max_abs() == 0.0 and e2.max_abs() == 0.0:
-        return 0.0
-    return plane_distance(e1.as_plane(), e2.as_plane())
 
 
 @dataclass(frozen=True)
@@ -435,49 +423,4 @@ def midplane_limit_probe(frame: BlaschkeFrame, direction, t_values) -> ProbeRepo
         tuple(distances),
         fit_order(t_values, distances),
     )
-
-
-def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values) -> dict:
-    """Convergence of the scaled envelope rows to their limit forms.
-
-    Pairs have difference t*(xi, eta) and sum t*(0.3, -0.2), so every row
-    has a nonzero limit generically.  Rows 2-3 scale by t^2 toward
-    twice the Transon gradients; rows 4-5 scale by t^3 toward twice
-    the pair-sum forms.
-    """
-    from .invariants import transon_gradients
-
-    xi, eta = unit_direction(direction_pair(direction))
-    frame_f = to_float_frame(frame)
-    g_xi, g_eta = transon_gradients(frame_f, (xi, eta))
-    form_u, form_v = pair_sum_forms(frame_f)
-    targets = [
-        LinearEquation(tuple(2 * c for c in g_xi), 0.0, FLOAT),
-        LinearEquation(tuple(2 * c for c in g_eta), 0.0, FLOAT),
-        form_u.at_direction(xi, eta).scaled(2),
-        form_v.at_direction(xi, eta).scaled(2),
-    ]
-    rows_distances = [[] for _ in range(4)]
-    for t in t_values:
-        t = float(t)
-        cu, cv = 0.3 * t / 2, -0.2 * t / 2
-        p1 = (cu + t * xi / 2, cv + t * eta / 2)
-        p2 = (cu - t * xi / 2, cv - t * eta / 2)
-        system = envelope_system(frame_f, (p1, p2))
-        scaled = [
-            system.rows[1].scaled(1 / t ** 2),
-            system.rows[2].scaled(1 / t ** 2),
-            system.rows[3].scaled(1 / t ** 3),
-            system.rows[4].scaled(1 / t ** 3),
-        ]
-        for k in range(4):
-            rows_distances[k].append(equation_distance(scaled[k], targets[k]))
-    return {
-        "t_values": tuple(float(t) for t in t_values),
-        "rows": tuple(
-            ProbeReport(tuple(float(t) for t in t_values), tuple(ds),
-                        fit_order(t_values, ds))
-            for ds in rows_distances
-        ),
-    }
 

@@ -5,8 +5,10 @@ point is to check that machinery against evaluation-only computations
 (exact interpolation, quadrature, finite-difference stencils with
 self-derived weights), or, for the Pick rate, a closed form read off
 one frame that checks the package's stencil of nearby normalizations.
-The Blaschke normalization by whole-jet substitution is the reference
-the package's graded normalization is checked against.
+The Blaschke normalization and the frame rotation by whole-jet
+substitution are the references the package's graded routes are checked
+against.  A few helpers that only tests need live here too: the jet
+truncation, the push-forward of a frame and the envelope-row probe.
 """
 
 from __future__ import annotations
@@ -25,8 +27,22 @@ from aek.frames import (
     _apolarity_pair,
     _snap_normal_form,
     _sym_inv_sqrt2,
+    to_float_frame,
 )
-from aek.jets import Jet2, substitute
+from aek.geometry import (
+    Plane3,
+    Quadric3,
+    direction_pair,
+    plane_distance,
+    unit_direction,
+)
+from aek.jets import Jet2, _exponents, substitute
+from aek.midplanes import (
+    LinearEquation,
+    envelope_system,
+    fit_order,
+    pair_sum_forms,
+)
 from aek.scalars import FLOAT, coerce, one, zero
 
 
@@ -336,7 +352,14 @@ def pick_invariant_rate(frame, direction_w):
 
 
 # ---------------------------------------------------------------------------
-# Blaschke normalization by whole-jet substitution
+# Blaschke normalization and rotation by whole-jet substitution
+
+
+def truncated(jet, order: int):
+    """Copy of a jet at another order: terms above it dropped, or zeros
+    padded."""
+    return type(jet)(order, jet.mode, [jet.coefficient(*e) for e in
+                                       _exponents(jet.nvars, order)])
 
 
 def graph_shear(h: Jet2, alpha, beta) -> Jet2:
@@ -366,8 +389,9 @@ def normalize_by_substitution(surface: SurfaceModel, p0) -> BlaschkeFrame:
     p0 = tuple(coerce(c, mode) for c in p0)
     shifted = surface.height.shifted(p0)
     c0, gu, gv = (shifted.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1)))
-    h = Jet2.from_terms({e: c for e, c in shifted.terms() if sum(e) > 1},
-                        shifted.order, mode).truncated(5)
+    h = truncated(Jet2.from_terms(
+        {e: c for e, c in shifted.terms() if sum(e) > 1}, shifted.order,
+        mode), 5)
     s00, s01, s11 = _sym_inv_sqrt2(2 * h.coefficient(2, 0),
                                    h.coefficient(1, 1),
                                    2 * h.coefficient(0, 2), mode)
@@ -387,6 +411,85 @@ def normalize_by_substitution(surface: SurfaceModel, p0) -> BlaschkeFrame:
         AffineMap3(((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z),
                    mode))
     return BlaschkeFrame(h, world)
+
+
+def rotate_by_substitution(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
+    """The frame of ``rotate_frame`` by the route of whole jets:
+    substitute x -> c x + s y, y -> -s x + c y into the frame's jet."""
+    mode = frame.mode
+    c, s = (coerce(t, mode) for t in cos_sin)
+    xj = Jet2.variable("x", 5, mode)
+    yj = Jet2.variable("y", 5, mode)
+    rotated = substitute(frame.normalized, (xj.scaled(c) + yj.scaled(s),
+                                            xj.scaled(-s) + yj.scaled(c)))
+    if mode == FLOAT:
+        rotated = _snap_normal_form(rotated)
+    o, z = one(mode), zero(mode)
+    old_from_new = AffineMap3(((c, s, z), (-s, c, z), (z, z, o)), (z, z, z),
+                              mode)
+    return BlaschkeFrame(rotated,
+                         frame.world_from_local.compose(old_from_new))
+
+
+def push_forward(frame: BlaschkeFrame, obj):
+    """Map a world point, plane or quadric to the frame's local
+    coordinates: the inverse of ``pull_back``."""
+    m = frame.world_from_local.inverse()
+    if isinstance(obj, Plane3):
+        return m.apply_plane(obj)
+    if isinstance(obj, Quadric3):
+        return m.apply_quadric(obj)
+    return m.apply_point(obj)
+
+
+# ---------------------------------------------------------------------------
+# envelope rows near the collapse
+
+
+def _equation_distance(e1: LinearEquation, e2: LinearEquation) -> float:
+    """Scale-free gap between two affine conditions (see plane_distance)."""
+    if e1.max_abs() == 0.0 and e2.max_abs() == 0.0:
+        return 0.0
+    return plane_distance(e1.as_plane(), e2.as_plane())
+
+
+def _scaled_equation(eq: LinearEquation, factor) -> LinearEquation:
+    return LinearEquation(tuple(factor * c for c in eq.coeffs),
+                          factor * eq.rhs, eq.mode)
+
+
+def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values) -> tuple:
+    """The fitted convergence order of each scaled envelope row toward
+    its limit form.
+
+    Pairs have difference t*(xi, eta) and sum t*(0.3, -0.2), so every row
+    has a nonzero limit generically.  Rows 2-3 scale by t^2 toward
+    twice the Transon gradients; rows 4-5 scale by t^3 toward twice
+    the pair-sum forms.
+    """
+    from aek.invariants import transon_gradients
+
+    xi, eta = unit_direction(direction_pair(direction))
+    frame_f = to_float_frame(frame)
+    g_xi, g_eta = transon_gradients(frame_f, (xi, eta))
+    form_u, form_v = pair_sum_forms(frame_f)
+    targets = [
+        LinearEquation(tuple(2 * c for c in g_xi), 0.0, FLOAT),
+        LinearEquation(tuple(2 * c for c in g_eta), 0.0, FLOAT),
+        _scaled_equation(form_u.at_direction(xi, eta), 2),
+        _scaled_equation(form_v.at_direction(xi, eta), 2),
+    ]
+    distances = [[] for _ in range(4)]
+    for t in t_values:
+        t = float(t)
+        cu, cv = 0.3 * t / 2, -0.2 * t / 2
+        p1 = (cu + t * xi / 2, cv + t * eta / 2)
+        p2 = (cu - t * xi / 2, cv - t * eta / 2)
+        rows = envelope_system(frame_f, (p1, p2)).rows
+        for k, power in enumerate((2, 2, 3, 3)):
+            scaled = _scaled_equation(rows[k + 1], 1 / t ** power)
+            distances[k].append(_equation_distance(scaled, targets[k]))
+    return tuple(fit_order(t_values, ds) for ds in distances)
 
 
 # ---------------------------------------------------------------------------

@@ -574,9 +574,16 @@ def test_pick_invariant_values():
     # rotating so the first axis kills the cubic leaves pure b, and the
     # invariant equals the square of that b
     frf = frame_from_coefficients(1.0, 0.0, mode=FLOAT)
-    killed = rotate_frame(frf, math.pi / 6)
+    t = math.pi / 6
+    killed = rotate_frame(frf, (math.cos(t), math.sin(t)))
     assert killed.a == pytest.approx(0, abs=1e-14)
     assert killed.b ** 2 == pytest.approx(pick_invariant(frf), rel=1e-12)
+
+
+def _pick_rate_at_step(monkeypatch, step, surface, p0, w):
+    """``pick_derivative`` with its stencil step set to ``step``."""
+    monkeypatch.setattr("aek.evolute.PICK_STEP", step)
+    return pick_derivative(surface, p0, w)
 
 
 def test_pick_derivative_sphere_vanishes():
@@ -585,13 +592,13 @@ def test_pick_derivative_sphere_vanishes():
         assert abs(pick_derivative(s, (0.01, 0.005), w)) < 1e-8
 
 
-def test_pick_derivative_position_dependent_cubic():
+def test_pick_derivative_position_dependent_cubic(monkeypatch):
     s = SurfaceModel.from_coefficients(
         {(2, 0): 0.5, (0, 2): 0.5, (3, 1): 1.0},
         (-0.2, 0.2, -0.2, 0.2), FLOAT,
     )
-    b1 = pick_derivative(s, (0.03, 0.02), (1.0, 0.0), h=1e-4)
-    b2 = pick_derivative(s, (0.03, 0.02), (1.0, 0.0), h=5e-5)
+    b1 = pick_derivative(s, (0.03, 0.02), (1.0, 0.0))
+    b2 = _pick_rate_at_step(monkeypatch, 5e-5, s, (0.03, 0.02), (1.0, 0.0))
     assert abs(b1) > 1e-3
     # Richardson control: the two step sizes agree to three digits
     assert b1 == pytest.approx(b2, rel=1e-3)
@@ -677,7 +684,7 @@ def test_pick_invariant_rate_is_the_first_order_normalization():
             assert pick_invariant_rate(turned, w) == got
 
 
-def test_pick_derivative_matches_closed_form():
+def test_pick_derivative_matches_closed_form(monkeypatch):
     """On random float surfaces with a general Hessian and a tilted
     tangent plane, the stencil extrapolated from steps 1e-4 and 5e-5
     matches the closed-form rate dJ/dt / (2 |kappa|) of the frame."""
@@ -694,8 +701,8 @@ def test_pick_derivative_matches_closed_form():
         p = (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         ang = rng.uniform(0.0, math.pi)
         w = (math.cos(ang), math.sin(ang))
-        coarse = pick_derivative(surface, p, w, h=1e-4)
-        fine = pick_derivative(surface, p, w, h=5e-5)
+        coarse = _pick_rate_at_step(monkeypatch, 1e-4, surface, p, w)
+        fine = _pick_rate_at_step(monkeypatch, 5e-5, surface, p, w)
         want = (4 * fine - coarse) / 3
         assert abs(want) > 1e-3
         frame = normalize_at(surface, p)
@@ -1095,7 +1102,7 @@ def _canonical_center(surface, ref_phase, point, theta_near):
 
     fr = normalize_at(surface, point)
     psi = _killing_angle(complex(float(fr.a), float(fr.b)), ref_phase)
-    frk = rotate_frame(fr, psi)
+    frk = rotate_frame(fr, (math.cos(psi), math.sin(psi)))
     roots = evolute_directions(frk)
     best = min(roots.roots, key=lambda r: angle_gap(r.theta, theta_near))
     sol = solve_evolute_point(frk, best.theta)
@@ -1105,7 +1112,7 @@ def _canonical_center(surface, ref_phase, point, theta_near):
     return (x / sm, y / sm, z / m), frk, m
 
 
-def test_branch_velocity_transverse_leaves_transon_plane():
+def test_branch_velocity_transverse_leaves_transon_plane(monkeypatch):
     """Stepping transversally with a nonzero pick rate, with the branch
     direction not a cubic zero: the moving-frame velocity escapes the
     Transon plane, by exactly the pick-rate term (threshold calibrated
@@ -1119,7 +1126,7 @@ def test_branch_velocity_transverse_leaves_transon_plane():
     fr0 = normalize_at(surface, (0.0, 0.0))
     ref = math.atan2(float(fr0.b), float(fr0.a))
     psi0 = _killing_angle(complex(float(fr0.a), float(fr0.b)), ref)
-    frk0 = rotate_frame(fr0, psi0)
+    frk0 = rotate_frame(fr0, (math.cos(psi0), math.sin(psi0)))
     roots0 = evolute_directions(frk0)
     theta_k = min(
         roots0.roots, key=lambda r: angle_gap(r.theta, (-psi0) % math.pi)
@@ -1129,7 +1136,7 @@ def test_branch_velocity_transverse_leaves_transon_plane():
     assert abs(cubic_factor) > 1e-3  # the branch direction is no cubic zero
 
     w = (math.sqrt(0.5), math.sqrt(0.5))
-    b_rate = pick_derivative(surface, (0.0, 0.0), w, h=5e-5)
+    b_rate = _pick_rate_at_step(monkeypatch, 5e-5, surface, (0.0, 0.0), w)
     assert abs(b_rate) > 1e-3
 
     X0, _, m0 = _canonical_center(surface, ref, (0.0, 0.0), theta_k)

@@ -24,7 +24,6 @@ from aek.frames import (
     normalize_at,
     pull_back,
     pull_back_direction,
-    push_forward,
     random_frame,
     rotate_frame,
     rotate_to,
@@ -42,6 +41,8 @@ from oracles import (
     graph_shear,
     map_chart_point,
     normalize_by_substitution,
+    push_forward,
+    rotate_by_substitution,
     sphere_surface,
     transform_graph_surface,
 )
@@ -331,7 +332,8 @@ def test_rotate_half_turn_flips_cubic():
 
 def test_rotate_by_30_degrees_kills_a():
     fr = frame_from_coefficients(1.0, 0.0, mode=FLOAT)
-    rot = rotate_frame(fr, math.pi / 6)
+    t = math.pi / 6
+    rot = rotate_frame(fr, (math.cos(t), math.sin(t)))
     assert rot.a == pytest.approx(0, abs=1e-14)
     assert abs(rot.b) == pytest.approx(1, abs=1e-14)
 
@@ -354,10 +356,62 @@ def test_pick_norm_invariant_under_rotation():
         assert rot.a ** 2 + rot.b ** 2 == fr.a ** 2 + fr.b ** 2
     frf = to_float_frame(fr)
     for theta in (0.3, 1.1, 2.9):
-        rot = rotate_frame(frf, theta)
+        rot = rotate_frame(frf, (math.cos(theta), math.sin(theta)))
         assert rot.a ** 2 + rot.b ** 2 == pytest.approx(
             float(fr.a ** 2 + fr.b ** 2), rel=1e-12
         )
+
+
+#: the four axis turns, each with both signs of its zero entry
+AXIS_TURNS = ((1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 1.0),
+              (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0))
+
+
+def _frame_reprs(frame):
+    m = frame.world_from_local
+    return [repr(c) for c in (*frame.normalized.coeffs,
+                              *(c for row in m.linear for c in row),
+                              *m.translation)]
+
+
+def test_rotate_frame_matches_whole_jet_rotation_float():
+    """The graded rotation equals the whole-jet substitution coefficient
+    for coefficient, signed zeros included, on random frames and on
+    frames normalized on a surface, at random angles and axis turns."""
+    rng = random.Random(23)
+    s = surface(
+        {(2, 0): 0.7, (1, 1): 0.1, (0, 2): 0.4, (3, 0): 0.4, (2, 1): -0.2,
+         (0, 4): 0.3, (4, 1): -0.5, (0, 5): 0.2},
+        patch=(-0.2, 0.2, -0.2, 0.2), mode=FLOAT,
+    )
+    frames = [random_frame(rng, FLOAT) for _ in range(30)] + [
+        normalize_at(s, (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)))
+        for _ in range(10)]
+    for fr in frames:
+        turns = [(math.cos(t), math.sin(t))
+                 for t in (rng.uniform(-math.pi, math.pi) for _ in range(5))]
+        for pair in turns + list(AXIS_TURNS):
+            assert _frame_reprs(rotate_frame(fr, pair)) == _frame_reprs(
+                rotate_by_substitution(fr, pair))
+
+
+def test_rotate_frame_matches_whole_jet_rotation_rational():
+    rng = random.Random(29)
+    pairs = [(c, s) for c, s in PYTHAGOREAN_DIRECTIONS] + [
+        (-s, c) for c, s in PYTHAGOREAN_DIRECTIONS]
+    for _ in range(20):
+        fr = random_frame(rng, RATIONAL)
+        for pair in pairs:
+            rot = rotate_frame(fr, pair)
+            want = rotate_by_substitution(fr, pair)
+            assert rot.normalized == want.normalized
+            assert rot.world_from_local == want.world_from_local
+
+
+def test_rotate_frame_rejects_pair_off_the_unit_circle():
+    fr = frame_from_coefficients(1, 0, mode=RATIONAL)
+    with pytest.raises(ValueError, match="unit circle"):
+        rotate_frame(fr, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_rotate_to_brings_direction_first():
@@ -389,7 +443,7 @@ def test_moutard_center_rotation_equivariance():
         theta = rng.uniform(0, 2 * math.pi)
         t = (math.cos(rng.uniform(0, math.pi)),
              math.sin(rng.uniform(0, math.pi)))
-        rot = rotate_frame(fr, theta)
+        rot = rotate_frame(fr, (math.cos(theta), math.sin(theta)))
         c, s = math.cos(theta), math.sin(theta)
         t_new = (c * t[0] - s * t[1], s * t[0] + c * t[1])
         lhs = moutard_center(rot, t_new)

@@ -1,5 +1,6 @@
 """The benchmark harness's view of the package."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -27,6 +28,25 @@ def test_tracer_targets_resolve():
             assert hasattr(owner, part), f"{name}: {module}.{path}"
             owner = getattr(owner, part)
         assert callable(owner), name
+
+
+def test_aek_imports_of_benchmark_and_tools_resolve():
+    """Every ``from aek... import name`` in ``perfbench/*.py`` and
+    ``tools/*.py`` resolves, the imports inside functions included: a
+    broken lazy import would fail the benchmark, not the tests."""
+    missing, importing = [], set()
+    for path in sorted([*(ROOT / "perfbench").glob("*.py"),
+                        *(ROOT / "tools").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ImportFrom) and not node.level
+                    and node.module.split(".")[0] == "aek"):
+                continue
+            importing.add(path.name)
+            owner = importlib.import_module(node.module)
+            missing += [f"{path.name}:{node.lineno} {node.module}.{a.name}"
+                        for a in node.names if not hasattr(owner, a.name)]
+    assert {"checks.py", "reference.py"} <= importing
+    assert not missing
 
 
 def test_reference_trace_calls_run():

@@ -85,6 +85,10 @@ COMMANDS = (
     "invariants --spec paraboloid.json --mode rational --point 1/3,1/7",
     "normalize --spec cubic_six.json --point 0.02,-0.01",
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 0.7",
+    # axis turns, whose zero entries the rotation skips
+    "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 0,1",
+    "invariants --spec cubic_six.json --point 0.02,-0.01 --direction=-1,0",
+    "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 3,4",
     "normalize --spec sphere.json --point 0.02,-0.01",
     "invariants --spec sphere.json --point 0.02,-0.01 --direction 0.7",
     "evolute --spec cubic_six.json --grid 21 --regularity fast --workers 1",
