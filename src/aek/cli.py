@@ -20,6 +20,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -609,10 +610,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a value that argparse would take for an option: a minus sign, then a
+#: digit or a dot
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _join_signed_values(argv) -> list:
+    """``--point -0.02,0.01`` as ``--point=-0.02,0.01``, and so for
+    ``--direction``: argparse reads a separate value that starts with a
+    minus sign as an option unless it is a lone number."""
+    out = []
+    pending = None
+    for word in argv:
+        if pending and _SIGNED_VALUE.match(word):
+            out[-1] = f"{pending}={word}"
+            pending = None
+            continue
+        out.append(word)
+        pending = word if word in ("--point", "--direction") else None
+    return out
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_signed_values(sys.argv[1:] if argv is None else argv))
         spec = load_spec(args.spec, args.mode)
         if args.command == "normalize":
             report, code = cmd_normalize(spec, args.point)

@@ -15,10 +15,14 @@ values; linearity in ``X`` is structural, not enforced by bookkeeping.
 
 Everything is immutable and mode-tagged (see :mod:`aek.scalars`):
 rational-mode arithmetic is exact.  The ring operations branch on the
-mode.  In rational mode they make no ``Fraction`` operation on a zero
-entry, and a product convolves integer numerators over one common
-denominator, the representation of FLINT's ``fmpq_poly`` (Hart, ICMS
-2010).  Float mode runs the plain per-entry loops.
+mode.  A rational jet keeps the list of its nonzero slots: the
+operation that made it hands the list over, or the jet scans its
+entries once, on first use.  Rational ``+``, ``-``, ``scaled``, ``*``,
+``graded_part``, ``max_abs`` and ``is_zero`` walk that list and never
+test or touch a zero entry, and a product convolves integer numerators
+over one common denominator, the representation of FLINT's
+``fmpq_poly`` (Hart, ICMS 2010).  Float mode runs the plain per-entry
+loops.  ``Jet2.shifted`` walks a plan cached per pair of orders.
 """
 
 from __future__ import annotations
@@ -65,21 +69,38 @@ def _pair_table(nvars: int, order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _numerators(coeffs):
-    """The nonzero entries of a rational table as (index, numerator)
+@lru_cache(maxsize=None)
+def _shift_plan(order: int, kept: int) -> tuple:
+    """The work of each term x^i y^j of an ``order`` table in a shift
+    kept to degree ``kept``: per k <= min(i, kept), the pair
+    (C(i, k), i - k) and, per l <= min(j, kept - k), the slot of
+    x^k y^l with C(j, l) and j - l."""
+    comb = math.comb
+    return tuple(
+        tuple((comb(i, k), i - k, tuple(
+            ((k + l) * (k + l + 1) // 2 + k, comb(j, l), j - l)
+            for l in range(min(j, kept - k) + 1)))
+            for k in range(min(i, kept) + 1))
+        for i, j in _exponents(2, order))
+
+
+def _numerators(jet):
+    """The nonzero entries of a rational jet as (index, numerator)
     pairs over their least common denominator, and that denominator."""
-    nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
-    den = math.lcm(*(c.denominator for _, c in nonzero))
-    return [(k, c.numerator * (den // c.denominator))
-            for k, c in nonzero], den
+    cs = jet.coeffs
+    nonzero = jet.nonzero_slots()
+    den = math.lcm(*(cs[k].denominator for k in nonzero))
+    return [(k, cs[k].numerator * (den // cs[k].denominator))
+            for k in nonzero], den
 
 
-def _rational_product(ca, cb, table):
-    """Truncated product of two rational tables: the integer numerators
-    are convolved, and each nonzero output entry is one Fraction."""
-    na, da = _numerators(ca)
-    nb, db = _numerators(cb)
-    acc = [0] * len(ca)
+def _rational_product(a, b, table):
+    """Truncated product of two rational jets and its nonzero slots: the
+    integer numerators are convolved, and each nonzero output entry is
+    one Fraction."""
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    acc = [0] * len(a.coeffs)
     for ia, x in na:
         row = table[ia]
         for ib, y in nb:
@@ -87,8 +108,11 @@ def _rational_product(ca, cb, table):
             if ic >= 0:
                 acc[ic] += x * y
     den = da * db
-    z = Fraction(0)
-    return [Fraction(n, den) if n else z for n in acc]
+    nonzero = tuple(k for k, n in enumerate(acc) if n)
+    out = [Fraction(0)] * len(acc)
+    for k in nonzero:
+        out[k] = Fraction(acc[k], den)
+    return out, nonzero
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +132,7 @@ class _Jet:
 
     nvars: int
     varnames: tuple[str, ...]
-    __slots__ = ("order", "mode", "coeffs")
+    __slots__ = ("order", "mode", "coeffs", "_nonzero")
 
     def __init__(self, order: int, mode: str, coeffs):
         if order < 0:
@@ -120,6 +144,15 @@ class _Jet:
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
+        self._nonzero = None
+
+    def _made(self, coeffs, nonzero):
+        """A jet of this one's class, order and mode with the table
+        ``coeffs``, whose nonzero slots are ``nonzero``."""
+        jet = object.__new__(type(self))
+        jet.order, jet.mode = self.order, self.mode
+        jet.coeffs, jet._nonzero = tuple(coeffs), nonzero
+        return jet
 
     # -- construction -------------------------------------------------
 
@@ -167,18 +200,27 @@ class _Jet:
             return zero(self.mode)
         return self.coeffs[_index(self.nvars, self.order)[e]]
 
+    def nonzero_slots(self) -> tuple:
+        """The indices of the nonzero entries, in table order."""
+        if self._nonzero is None:
+            self._nonzero = tuple(k for k, c in enumerate(self.coeffs) if c)
+        return self._nonzero
+
     def terms(self):
         """Yield (exponents, coefficient) for nonzero coefficients."""
         exps = _exponents(self.nvars, self.order)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield exps[k], c
+        for k in self.nonzero_slots():
+            yield exps[k], self.coeffs[k]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.nonzero_slots()
 
     def max_abs(self) -> float:
-        return max((abs(float(c)) for c in self.coeffs), default=0.0)
+        cs = self.coeffs
+        if self.mode == RATIONAL:
+            return max((abs(float(cs[k])) for k in self.nonzero_slots()),
+                       default=0.0)
+        return max((abs(float(c)) for c in cs), default=0.0)
 
     def __repr__(self):
         parts = []
@@ -217,37 +259,64 @@ class _Jet:
 
     def __add__(self, other):
         self._check_compatible(other)
-        pairs = zip(self.coeffs, other.coeffs)
         if self.mode == RATIONAL:
-            out = [a + b if a and b else a or b for a, b in pairs]
-        else:
-            out = [a + b for a, b in pairs]
-        return type(self)(self.order, self.mode, out)
+            return self._rational_sum(other, False)
+        return type(self)(self.order, self.mode,
+                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_compatible(other)
-        pairs = zip(self.coeffs, other.coeffs)
         if self.mode == RATIONAL:
-            out = [(a - b if a else -b) if b else a for a, b in pairs]
-        else:
-            out = [a - b for a, b in pairs]
-        return type(self)(self.order, self.mode, out)
+            return self._rational_sum(other, True)
+        return type(self)(self.order, self.mode,
+                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def _rational_sum(self, other, subtract: bool):
+        """self + other, or self - other, over the nonzero slots of each;
+        a slot where the two cancel leaves the list."""
+        mine = self.nonzero_slots()
+        theirs = other.nonzero_slots()
+        if not theirs:
+            return self._made(self.coeffs, mine)
+        out = list(self.coeffs)
+        cb = other.coeffs
+        shared = set(mine).intersection(theirs)
+        cancelled = []
+        for k in theirs:
+            b = cb[k]
+            if k in shared:
+                b = out[k] - b if subtract else out[k] + b
+                if not b:
+                    cancelled.append(k)
+            elif subtract:
+                b = -b
+            out[k] = b
+        if not mine:
+            return self._made(out, theirs)
+        nonzero = set(mine).union(theirs).difference(cancelled)
+        return self._made(out, tuple(sorted(nonzero)))
 
     def __neg__(self):
-        if self.mode == RATIONAL:
-            out = [-a if a else a for a in self.coeffs]
-        else:
-            out = [-a for a in self.coeffs]
-        return type(self)(self.order, self.mode, out)
+        if self.mode != RATIONAL:
+            return type(self)(self.order, self.mode, [-a for a in self.coeffs])
+        out = list(self.coeffs)
+        nonzero = self.nonzero_slots()
+        for k in nonzero:
+            out[k] = -out[k]
+        return self._made(out, nonzero)
 
     def scaled(self, factor):
         f = coerce(factor, self.mode)
-        if self.mode == RATIONAL:
-            out = ([f * a if a else a for a in self.coeffs] if f
-                   else [f] * len(self.coeffs))
-        else:
-            out = [f * a for a in self.coeffs]
-        return type(self)(self.order, self.mode, out)
+        if self.mode != RATIONAL:
+            return type(self)(self.order, self.mode,
+                              [f * a for a in self.coeffs])
+        if not f:
+            return self._made([f] * len(self.coeffs), ())
+        out = list(self.coeffs)
+        nonzero = self.nonzero_slots()
+        for k in nonzero:
+            out[k] = f * out[k]
+        return self._made(out, nonzero)
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):
@@ -255,8 +324,7 @@ class _Jet:
         self._check_compatible(other)
         table = _pair_table(self.nvars, self.order)
         if self.mode == RATIONAL:
-            return type(self)(self.order, self.mode, _rational_product(
-                self.coeffs, other.coeffs, table))
+            return self._made(*_rational_product(self, other, table))
         out = [zero(self.mode)] * len(self.coeffs)
         for ia, ca in enumerate(self.coeffs):
             if not ca:
@@ -330,26 +398,21 @@ class Jet2(_Jet):
         <= k of ``shifted(c)``.
         """
         cx, cy = (coerce(c, self.mode) for c in center)
-        n = self.order
-        m = n if order is None else order
-        # cached powers of the shift
+        m = self.order if order is None else order
         px = [coerce(1, self.mode)]
         py = [coerce(1, self.mode)]
-        for _ in range(n):
+        for _ in range(self.order):
             px.append(px[-1] * cx)
             py.append(py[-1] * cy)
-        comb = math.comb
         out = [zero(self.mode)] * len(_exponents(2, m))
-        rows = {}  # j -> (l(l+1)/2, l, C(j, l), cy^(j-l)) for l <= min(j, m)
-        for (i, j), c in self.terms():
-            if j not in rows:
-                rows[j] = [(l * (l + 1) // 2, l, comb(j, l), py[j - l])
-                           for l in range(min(j, m) + 1)]
-            for k in range(min(i, m) + 1):
-                ck = c * (comb(i, k) * px[i - k])
-                for tri, l, cjl, pyl in rows[j][:m - k + 1]:
-                    s = tri + k * (k + 2 * l + 3) // 2  # the index of x^k y^l
-                    out[s] = out[s] + ck * cjl * pyl
+        plan = _shift_plan(self.order, m)
+        coeffs = self.coeffs
+        for slot in self.nonzero_slots():
+            c = coeffs[slot]
+            for cik, ik, row in plan[slot]:
+                ck = c * (cik * px[ik])
+                for s, cjl, jl in row:
+                    out[s] += ck * cjl * py[jl]
         return Jet2(m, self.mode, out)
 
     def to_float(self) -> "Jet2":
@@ -367,11 +430,15 @@ class Jet2(_Jet):
         variables, in both modes (for finite coefficients).
         """
         out = [zero(self.mode)] * len(_exponents(4, order))
+        nonzero = []
         for k2, k4 in _pair_chart_slots(self.order, order, point):
             c = self.coeffs[k2]
             if c:
                 out[k4] = c
-        return Jet4(order, self.mode, out)
+                nonzero.append(k4)
+        jet = Jet4(order, self.mode, out)
+        jet._nonzero = tuple(nonzero)
+        return jet
 
 
 class Jet4(_Jet):
@@ -383,10 +450,26 @@ class Jet4(_Jet):
 
     def graded_part(self, degree: int) -> "Jet4":
         """The homogeneous part of the given total degree."""
-        z = zero(self.mode)
-        out = [c if sum(e) == degree else z
-               for e, c in zip(_exponents(4, self.order), self.coeffs)]
-        return Jet4(self.order, self.mode, out)
+        n = len(self.coeffs)
+        lo, hi = ((math.comb(degree + 3, 4), math.comb(degree + 4, 4))
+                  if 0 <= degree <= self.order else (n, n))
+        z = (zero(self.mode),)
+        out = z * lo + self.coeffs[lo:hi] + z * (n - hi)
+        if self.mode != RATIONAL:
+            return Jet4(self.order, self.mode, out)
+        return self._made(out, tuple(
+            k for k in self.nonzero_slots() if lo <= k < hi))
+
+    def graded_sizes(self) -> list:
+        """(max_abs, is_zero) of ``graded_part(d)`` for each degree d up
+        to the order, from one pass over the nonzero slots."""
+        exps = _exponents(4, self.order)
+        sizes = [[0.0, True] for _ in range(self.order + 1)]
+        for k in self.nonzero_slots():
+            size = sizes[sum(exps[k])]
+            size[0] = max(size[0], abs(float(self.coeffs[k])))
+            size[1] = False
+        return [tuple(size) for size in sizes]
 
 
 def substitute(p: _Jet, subs) -> _Jet:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DegeneratePairError
 from .frames import BlaschkeFrame, SurfaceModel, to_float_frame
@@ -164,8 +165,20 @@ def envelope_system(target, pair) -> EnvelopeSystem:
 # exact pair-collapse expansions
 
 
+@lru_cache(maxsize=None)
 def _pair_variables(order, mode):
     return tuple(Jet4.variable(v, order, mode) for v in Jet4.varnames)
+
+
+@lru_cache(maxsize=None)
+def _pair_monomials(order, mode):
+    """(su, sv) and the cubics (du^3, du^2 dv, du dv^2, dv^3) of the pair
+    chart, where d = p1 - p2 and s = p1 + p2: frame-independent, so
+    built once per order and mode."""
+    u1, v1, u2, v2 = _pair_variables(order, mode)
+    du, dv = u1 - u2, v1 - v2
+    du2, dv2 = du * du, dv * dv
+    return (u1 + u2, v1 + v2), (du * du2, du2 * dv, du * dv2, dv * dv2)
 
 
 def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
@@ -198,17 +211,14 @@ def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
 def transon_form_jet(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
     """The Transon form G evaluated on the pair difference (du, dv)."""
     mode = frame.mode
-    u1, v1, u2, v2 = _pair_variables(order, mode)
-    du, dv = u1 - u2, v1 - v2
     half = coerce(1, mode) / 2
-    norm = du * du + dv * dv
     a, b = frame.a, frame.b
-    du2, dv2 = du * du, dv * dv
-    cubic = (du * du2).scaled(a) - (du * dv2).scaled(3 * a) \
-        + (dv * dv2).scaled(b) - (dv * du2).scaled(3 * b)
+    _, (u3, u2v, uv2, v3) = _pair_monomials(order, mode)
+    cubic = u3.scaled(a) - uv2.scaled(3 * a) + v3.scaled(b) \
+        - u2v.scaled(3 * b)
     return LinearFormJet(
-        cx=(du * norm).scaled(half),
-        cy=(dv * norm).scaled(half),
+        cx=(u3 + uv2).scaled(half),
+        cy=(u2v + v3).scaled(half),
         cz=cubic,
         c1=Jet4.zero(order, mode),
     )
@@ -247,9 +257,9 @@ class DirectionalForm:
             self.mode,
         )
 
-    def as_jet(self, du: Jet4, dv: Jet4) -> LinearFormJet:
-        du2, dv2 = du * du, dv * dv
-        monomials = (du * du2, du2 * dv, du * dv2, dv * dv2)
+    def as_jet(self, order: int = 4) -> LinearFormJet:
+        """The form on the pair difference (du, dv), as Jet4 tables."""
+        _, monomials = _pair_monomials(order, self.mode)
 
         def cubic(coeffs):
             m0, m1, m2, m3 = (m.scaled(c) for m, c in zip(monomials, coeffs))
@@ -302,14 +312,14 @@ class ExpansionReport:
 
 
 def _residual_report(diff: LinearFormJet, degrees) -> ExpansionReport:
+    """The largest entry of the diff's parts of the given degrees, and
+    whether they all vanish; each jet of the diff is read once."""
+    sizes = [p.graded_sizes() for p in (diff.cx, diff.cy, diff.cz, diff.c1)]
     worst = 0.0
     exact = True
     for d in degrees:
-        part = diff.graded_part(d)
-        m = part.max_abs()
-        worst = max(worst, m)
-        if not part.is_zero():
-            exact = False
+        worst = max(worst, max(s[d][0] for s in sizes))
+        exact = exact and all(s[d][1] for s in sizes)
     return ExpansionReport(worst, exact and diff.mode == RATIONAL, max(degrees))
 
 
@@ -321,21 +331,17 @@ def _cubic_report(frame: BlaschkeFrame,
 
 def _quartic_report(frame: BlaschkeFrame,
                     expansion: LinearFormJet) -> ExpansionReport:
-    mode = frame.mode
-    u1, v1, u2, v2 = _pair_variables(4, mode)
-    du, dv = u1 - u2, v1 - v2
-    su, sv = u1 + u2, v1 + v2
+    (su, sv), _ = _pair_monomials(4, frame.mode)
     form_u, form_v = pair_sum_forms(frame)
-    ju = form_u.as_jet(du, dv)
-    jv = form_v.as_jet(du, dv)
+    ju = form_u.as_jet(4)
+    jv = form_v.as_jet(4)
     predicted = LinearFormJet(
         cx=ju.cx * su + jv.cx * sv,
         cy=ju.cy * su + jv.cy * sv,
         cz=ju.cz * su + jv.cz * sv,
         c1=ju.c1 * su + jv.c1 * sv,
     )
-    diff = expansion.graded_part(4) - predicted.graded_part(4)
-    return _residual_report(diff, (4,))
+    return _residual_report(expansion - predicted, (4,))
 
 
 def check_cubic_term(frame: BlaschkeFrame) -> ExpansionReport:

@@ -7,8 +7,10 @@ self-derived weights), or, for the Pick rate, a closed form read off
 one frame that checks the package's stencil of nearby normalizations.
 The Blaschke normalization and the frame rotation by whole-jet
 substitution are the references the package's graded routes are checked
-against.  A few helpers that only tests need live here too: the jet
-truncation, the push-forward of a frame and the envelope-row probe.
+against.  So are the plain loops of the jet kernels: the recentering
+term by term and the dense rational ring rules.  A few helpers that only
+tests need live here too: the jet truncation, the push-forward of a
+frame and the envelope-row probe.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from aek.geometry import (
     plane_distance,
     unit_direction,
 )
-from aek.jets import Jet2, _exponents, substitute
+from aek.jets import Jet2, _exponents, _pair_table, substitute
 from aek.midplanes import (
     LinearEquation,
     envelope_system,
@@ -349,6 +351,94 @@ def pick_invariant_rate(frame, direction_w):
     gy = k * inv[1][2] + a * (f31 - 3 * f13) / 2 + b * (2 * f04 - f22)
     vx, vy = m[1][1] * wx - m[0][1] * wy, m[0][0] * wy - m[1][0] * wx
     return (gx * vx + gy * vy) / (m[0][0] * m[1][1] - m[0][1] * m[1][0])
+
+
+# ---------------------------------------------------------------------------
+# jet kernels: the plain loops
+
+
+def shifted_by_terms(jet: Jet2, center, order=None) -> Jet2:
+    """The recentering p(x + cx, y + cy) to degree ``order``, term by
+    term: each kept slot sums the same products in the same order as
+    ``Jet2.shifted``, with binomials and slot indices worked out at
+    every call."""
+    cx, cy = (coerce(c, jet.mode) for c in center)
+    n = jet.order
+    m = n if order is None else order
+    px = [one(jet.mode)]
+    py = [one(jet.mode)]
+    for _ in range(n):
+        px.append(px[-1] * cx)
+        py.append(py[-1] * cy)
+    comb = math.comb
+    out = [zero(jet.mode)] * len(_exponents(2, m))
+    rows = {}  # j -> (l(l+1)/2, l, C(j, l), cy^(j-l)) for l <= min(j, m)
+    for (i, j), c in zip(_exponents(2, n), jet.coeffs):
+        if not c:
+            continue
+        if j not in rows:
+            rows[j] = [(l * (l + 1) // 2, l, comb(j, l), py[j - l])
+                       for l in range(min(j, m) + 1)]
+        for k in range(min(i, m) + 1):
+            ck = c * (comb(i, k) * px[i - k])
+            for tri, l, cjl, pyl in rows[j][:m - k + 1]:
+                s = tri + k * (k + 2 * l + 3) // 2  # the index of x^k y^l
+                out[s] = out[s] + ck * cjl * pyl
+    return Jet2(m, jet.mode, out)
+
+
+def dense_sum(p, q) -> list:
+    """p + q entry by entry, a rational zero passed over untouched."""
+    return [a + b if a and b else a or b for a, b in zip(p.coeffs, q.coeffs)]
+
+
+def dense_difference(p, q) -> list:
+    return [(a - b if a else -b) if b else a
+            for a, b in zip(p.coeffs, q.coeffs)]
+
+
+def dense_negation(p) -> list:
+    return [-a if a else a for a in p.coeffs]
+
+
+def dense_scaled(p, factor) -> list:
+    f = Fraction(factor)
+    return [f * a if a else a for a in p.coeffs] if f else [f] * len(p.coeffs)
+
+
+def dense_product(p, q) -> list:
+    """The truncated product over one common denominator, every entry of
+    both tables scanned."""
+    def numerators(coeffs):
+        nonzero = [(k, c) for k, c in enumerate(coeffs) if c]
+        den = math.lcm(*(c.denominator for _, c in nonzero))
+        return [(k, c.numerator * (den // c.denominator))
+                for k, c in nonzero], den
+
+    table = _pair_table(p.nvars, p.order)
+    na, da = numerators(p.coeffs)
+    nb, db = numerators(q.coeffs)
+    acc = [0] * len(p.coeffs)
+    for ia, x in na:
+        for ib, y in nb:
+            ic = table[ia][ib]
+            if ic >= 0:
+                acc[ic] += x * y
+    return [Fraction(n, da * db) for n in acc]
+
+
+def dense_graded_part(p, degree: int) -> list:
+    z = zero(p.mode)
+    return [c if sum(e) == degree else z
+            for e, c in zip(_exponents(p.nvars, p.order), p.coeffs)]
+
+
+def dense_max_abs(p) -> float:
+    return max((abs(float(c)) for c in p.coeffs), default=0.0)
+
+
+def dense_is_zero(p) -> bool:
+    return not any(p.coeffs)
 
 
 # ---------------------------------------------------------------------------

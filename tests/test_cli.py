@@ -216,6 +216,37 @@ def test_bad_direction_is_usage_error(capsys, direction):
     assert err.startswith("error: bad direction") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, spec, option, value, rest", [
+    ("invariants", "cubic_six.json", "--point", "-0.02,0.01", ()),
+    ("normalize", "paraboloid.json", "--point", "-1/3,1/7",
+     ("--mode", "rational")),
+    ("invariants", "cubic_six.json", "--direction", "-1,0",
+     ("--point", "0.02,-0.01")),
+], ids=["float-point", "rational-point", "direction"])
+def test_signed_value_as_separate_word(tmp_path, capsys, command, spec,
+                                       option, value, rest):
+    """A --point or --direction value that starts with a minus sign
+    gives the same exit code, stdout and files as a separate word as
+    after '='."""
+    runs = []
+    for form, words in (("apart", (option, value)),
+                        ("joined", (f"{option}={value}",))):
+        out_dir = tmp_path / form
+        code, out, _ = run_cli(capsys, command, "--spec", str(SPECS / spec),
+                               *rest, *words, "--out", str(out_dir))
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        runs.append((code, out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2]
+
+
+def test_point_without_value_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "normalize", "--point", "--spec",
+                             "x.json")
+    assert code == 1 and out == ""
+    assert "--point" in err
+
+
 # ---------------------------------------------------------------------------
 # normalize
 

@@ -1,21 +1,38 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aek.cli import build_surface, load_spec
+from aek.evolute import grid_points
 from aek.frames import random_frame
 from aek.jets import Jet2, Jet4, LinearFormJet, _exponents, substitute
 from aek.scalars import FLOAT, RATIONAL, ModeMismatchError, zero
 
-from oracles import sqrt_graph_series, truncated
+from oracles import (
+    dense_difference,
+    dense_graded_part,
+    dense_is_zero,
+    dense_max_abs,
+    dense_negation,
+    dense_product,
+    dense_scaled,
+    dense_sum,
+    shifted_by_terms,
+    sqrt_graph_series,
+    truncated,
+)
 
 
 def j2(terms, order=5, mode=RATIONAL):
     return Jet2.from_terms(terms, order, mode)
 
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 X = Jet2.variable("x", 5, RATIONAL)
 Y = Jet2.variable("y", 5, RATIONAL)
@@ -369,6 +386,110 @@ def test_ring_kernels_match_coefficient_loop(cls, order, mode, data):
         assert _bits(got.coeffs) == _bits(want)
 
 
+def _scanned(jet):
+    return tuple(k for k, c in enumerate(jet.coeffs) if c)
+
+
+def _assert_rational_kernels(p, q, c):
+    """Each rational kernel equals its dense rule, and every result
+    carries the nonzero slots a fresh scan of its table finds."""
+    cases = [
+        (p + q, dense_sum(p, q)),
+        (p - q, dense_difference(p, q)),
+        (-p, dense_negation(p)),
+        (p.scaled(c), dense_scaled(p, c)),
+        (p.scaled(0), dense_scaled(p, 0)),
+        (p * q, dense_product(p, q)),
+    ]
+    if isinstance(p, Jet4):
+        cases += [(p.graded_part(d), dense_graded_part(p, d))
+                  for d in range(-1, p.order + 2)]
+    for got, want in cases:
+        assert type(got) is type(p) and got.mode == RATIONAL
+        assert got.order == p.order and list(got.coeffs) == want
+        assert all(type(x) is Fraction for x in got.coeffs)
+        assert got._nonzero == _scanned(got)
+    for jet in (p, q, *(got for got, _ in cases)):
+        assert jet.max_abs() == dense_max_abs(jet)
+        assert jet.is_zero() == dense_is_zero(jet)
+
+
+@pytest.mark.parametrize("cls, order", [(Jet2, 5), (Jet4, 4)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rational_kernels_match_dense_rules(cls, order, data):
+    p = data.draw(_sparse_jet(cls, order, RATIONAL))
+    q = data.draw(st.one_of(_sparse_jet(cls, order, RATIONAL),
+                            st.just(-p), st.just(p)))
+    _assert_rational_kernels(p, q, data.draw(_KERNEL_VALUES[RATIONAL]))
+
+
+@pytest.mark.parametrize("cls, order", [(Jet2, 5), (Jet4, 4)])
+def test_rational_kernels_on_empty_and_one_entry_jets(cls, order):
+    n = len(_exponents(cls.nvars, order))
+    empty = cls.zero(order, RATIONAL)
+    for k in (0, 1, n // 2, n - 1):
+        single = cls(order, RATIONAL, [Fraction(-3, 7) if i == k
+                                       else Fraction(0) for i in range(n)])
+        for p, q in ((empty, empty), (empty, single), (single, empty),
+                     (single, single), (single, -single)):
+            _assert_rational_kernels(p, q, Fraction(5, 2))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_graded_sizes_read_each_part(mode, data):
+    """graded_sizes gives max_abs and is_zero of each graded part."""
+    p = data.draw(_sparse_jet(Jet4, 4, mode))
+    assert p.graded_sizes() == [
+        (p.graded_part(d).max_abs(), p.graded_part(d).is_zero())
+        for d in range(5)]
+
+
+def _reprs(jet):
+    return [repr(c) for c in jet.coeffs]
+
+
+def test_shift_plan_matches_term_loop_on_sphere_grid():
+    """The sphere jet at the 21 x 21 grid of its spec, kept to each
+    order 0-5: every coefficient has the repr of the term loop's."""
+    surface = build_surface(load_spec(str(SPECS / "sphere.json")))
+    us, vs = grid_points(surface.patch, (21, 21))
+    h = surface.height
+    for u in us:
+        for v in vs:
+            for kept in range(6):
+                assert (_reprs(h.shifted((u, v), kept))
+                        == _reprs(shifted_by_terms(h, (u, v), kept)))
+
+
+def test_shift_plan_matches_term_loop_on_random_jets():
+    """Float jets of degree 3-16 with exact zeros and negative zeros
+    match the term loop by repr; rational jets match it exactly."""
+    rng = random.Random(2017)
+    draws = (0.0, -0.0, 1.0, -2.5)
+    for order in range(3, 17):
+        n = len(_exponents(2, order))
+        for _ in range(3):
+            coeffs = [rng.choice(draws) if rng.random() < 0.4
+                      else rng.uniform(-1e3, 1e3) * 10.0 ** rng.randint(-8, 8)
+                      for _ in range(n)]
+            jet = Jet2(order, FLOAT, coeffs)
+            exact = Jet2(order, RATIONAL, [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                if rng.random() < 0.5 else Fraction(0) for _ in range(n)])
+            center = (rng.choice((0.0, -0.0, rng.uniform(-0.1, 0.1))),
+                      rng.uniform(-0.1, 0.1))
+            rational_center = (Fraction(rng.randint(-5, 5), 7),
+                               Fraction(rng.randint(-5, 5), 11))
+            for kept in (*range(6), None):
+                assert (_reprs(jet.shifted(center, kept))
+                        == _reprs(shifted_by_terms(jet, center, kept)))
+                assert (exact.shifted(rational_center, kept)
+                        == shifted_by_terms(exact, rational_center, kept))
+
+
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_pair_chart_embedding_is_substitution(mode):
     """Re-indexing a frame jet into the pair chart equals substituting
@@ -385,3 +506,4 @@ def test_pair_chart_embedding_is_substitution(mode):
                     got = jet.in_pair_chart(point, order)
                     assert got.order == order and got.mode == mode
                     assert _bits(got.coeffs) == _bits(want.coeffs)
+                    assert got._nonzero == _scanned(got)

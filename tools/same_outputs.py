@@ -90,6 +90,8 @@ COMMANDS = (
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction=-1,0",
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 3,4",
     "normalize --spec sphere.json --point 0.02,-0.01",
+    # a dense shift, off both axes
+    "normalize --spec sphere.json --point=-0.031,0.047",
     "invariants --spec sphere.json --point 0.02,-0.01 --direction 0.7",
     "evolute --spec cubic_six.json --grid 21 --regularity fast --workers 1",
     "evolute --spec cubic_six.json --grid 21 --regularity fast --workers 2",
@@ -98,6 +100,7 @@ COMMANDS = (
     "evolute --spec cubic_six.json --grid 11 --regularity off --workers 1",
     "evolute --spec sphere.json --grid 9 --regularity fast --workers 1",
     "evolute --spec sphere.json --grid 9 --regularity off --workers 1",
+    "evolute --spec sphere.json --grid 21 --regularity off --workers 1",
     "evolute --spec paraboloid.json --grid 9 --workers 1",
     "evolute --spec huge_float.json --grid 3 --workers 1",
     "evolute --spec huge_rational.json --grid 3 --workers 1",
