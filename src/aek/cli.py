@@ -23,6 +23,7 @@ import random
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,7 +153,7 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     if not (patch[0] < patch[1] and patch[2] < patch[3]):
         raise SpecFormatError("'patch' needs umin < umax and vmin < vmax")
     grid = raw.get("grid", 41)
-    if not isinstance(grid, int) or grid < 1:
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
         raise SpecFormatError("'grid' must be a positive integer")
     return SurfaceSpec(coeffs, patch, mode, grid, path)
 
@@ -523,6 +524,16 @@ def write_evolute_obj(path: str, trace) -> tuple[int, int]:
     return len(vertices), len(faces)
 
 
+@contextmanager
+def _output_errors():
+    """An OSError in making the output directory or writing a file in
+    it, such as an ``--out`` that names a file, as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write output: {exc}") from None
+
+
 def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
                 workers: int, regularity: str) -> tuple[str, int]:
     if workers < 1:
@@ -531,14 +542,16 @@ def cmd_evolute(spec: SurfaceSpec, out_dir: str, grid: int | None,
     if n < 1:
         raise SpecFormatError("grid must have at least one sample")
     surface = build_surface(spec)
+    with _output_errors():
+        os.makedirs(out_dir, exist_ok=True)
     pick_dirs = {"off": 0, "fast": 2}[regularity]
     trace = trace_evolute(surface, grid=(n, n), workers=workers,
                           pick_directions=pick_dirs)
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "evolute_points.csv")
     obj_path = os.path.join(out_dir, "evolute_mesh.obj")
-    rows = write_evolute_csv(csv_path, trace)
-    nverts, nfaces = write_evolute_obj(obj_path, trace)
+    with _output_errors():
+        rows = write_evolute_csv(csv_path, trace)
+        nverts, nfaces = write_evolute_obj(obj_path, trace)
     n_ok = sum(1 for s in trace.samples if s.status == "ok")
     n_degenerate = sum(1 for s in trace.samples if s.status == "degenerate")
     results = {
@@ -637,27 +650,26 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(
             _join_signed_values(sys.argv[1:] if argv is None else argv))
         spec = load_spec(args.spec, args.mode)
-        if args.command == "normalize":
-            report, code = cmd_normalize(spec, args.point)
-        elif args.command == "invariants":
-            report, code = cmd_invariants(spec, args.point, args.direction)
-        elif args.command == "verify":
-            report, code = cmd_verify(spec, args.point, args.seed)
-        else:
-            out_dir = args.out or "."
-            report, code = cmd_evolute(spec, out_dir, args.grid,
+        if args.command == "evolute":
+            report, code = cmd_evolute(spec, args.out or ".", args.grid,
                                        args.workers, args.regularity)
+        else:
+            if args.out:
+                with _output_errors():
+                    os.makedirs(args.out, exist_ok=True)
+            if args.command == "normalize":
+                report, code = cmd_normalize(spec, args.point)
+            elif args.command == "invariants":
+                report, code = cmd_invariants(spec, args.point,
+                                              args.direction)
+            else:
+                report, code = cmd_verify(spec, args.point, args.seed)
+        if args.out or args.command == "evolute":
+            path = os.path.join(args.out or ".",
+                                f"{args.command}_report.json")
+            with _output_errors(), open(path, "w", encoding="utf-8") as fh:
+                fh.write(report + "\n")
         print(report)
-        if args.out and args.command != "evolute":
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, f"{args.command}_report.json"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(report + "\n")
-        elif args.command == "evolute":
-            out_dir = args.out or "."
-            with open(os.path.join(out_dir, "evolute_report.json"),
-                      "w", encoding="utf-8") as fh:
-                fh.write(report + "\n")
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
         return code
     except SpecFormatError as exc:

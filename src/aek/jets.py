@@ -14,15 +14,15 @@ a space point ``X = (x, y, z)`` whose four coefficients are ``Jet4``
 values; linearity in ``X`` is structural, not enforced by bookkeeping.
 
 Everything is immutable and mode-tagged (see :mod:`aek.scalars`):
-rational-mode arithmetic is exact.  The ring operations branch on the
-mode.  A rational jet keeps the list of its nonzero slots: the
-operation that made it hands the list over, or the jet scans its
-entries once, on first use.  Rational ``+``, ``-``, ``scaled``, ``*``,
-``graded_part``, ``max_abs`` and ``is_zero`` walk that list and never
-test or touch a zero entry, and a product convolves integer numerators
-over one common denominator, the representation of FLINT's
-``fmpq_poly`` (Hart, ICMS 2010).  Float mode runs the plain per-entry
-loops.  ``Jet2.shifted`` walks a plan cached per pair of orders.
+rational-mode arithmetic is exact.  Every jet keeps the list of its
+nonzero slots: the operation that made it hands the list over, or the
+jet scans its entries once, on first use.  ``+``, ``-``, ``scaled``,
+``*``, ``max_abs`` and ``is_zero`` walk that list in both modes and
+never test or touch a zero entry, so a slot that no nonzero entry
+reaches keeps the zero it had.  A product convolves numerators over one
+common denominator: integers for Fractions, the representation of
+FLINT's ``fmpq_poly`` (Hart, ICMS 2010), and the floats themselves over
+1.  ``Jet2.shifted`` walks a plan cached per pair of orders.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
 from .scalars import (
     FLOAT, RATIONAL, ModeMismatchError, coerce, join_modes, zero,
@@ -84,22 +84,33 @@ def _shift_plan(order: int, kept: int) -> tuple:
         for i, j in _exponents(2, order))
 
 
-def _numerators(jet):
-    """The nonzero entries of a rational jet as (index, numerator)
-    pairs over their least common denominator, and that denominator."""
-    cs = jet.coeffs
-    nonzero = jet.nonzero_slots()
-    den = math.lcm(*(cs[k].denominator for k in nonzero))
-    return [(k, cs[k].numerator * (den // cs[k].denominator))
-            for k in nonzero], den
+def _numerators(a, b):
+    """The nonzero entries of ``a`` and of ``b`` as (slot, numerator)
+    pairs, and the rule that builds a product entry from its sum of
+    numerator products.  Fractions become integer numerators over the
+    least common denominator of their jet, and a product entry is one
+    Fraction over the product of the two; floats stand over 1 as they
+    are, and so does a product entry."""
+    if a.mode != RATIONAL:
+        return ([(k, a.coeffs[k]) for k in a.nonzero_slots()],
+                [(k, b.coeffs[k]) for k in b.nonzero_slots()], float)
+    pairs = []
+    den = 1
+    for jet in (a, b):
+        cs = jet.coeffs
+        nonzero = jet.nonzero_slots()
+        d = math.lcm(*(cs[k].denominator for k in nonzero))
+        pairs.append([(k, cs[k].numerator * (d // cs[k].denominator))
+                      for k in nonzero])
+        den *= d
+    return (*pairs, lambda n: Fraction(n, den))
 
 
-def _rational_product(a, b, table):
-    """Truncated product of two rational jets and its nonzero slots: the
-    integer numerators are convolved, and each nonzero output entry is
-    one Fraction."""
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
+def _product(a, b, table):
+    """Truncated product of two jets of one mode and its nonzero slots:
+    the numerators are convolved, and each nonzero output entry is built
+    once."""
+    na, nb, entry = _numerators(a, b)
     acc = [0] * len(a.coeffs)
     for ia, x in na:
         row = table[ia]
@@ -107,11 +118,10 @@ def _rational_product(a, b, table):
             ic = row[ib]
             if ic >= 0:
                 acc[ic] += x * y
-    den = da * db
-    nonzero = tuple(k for k, n in enumerate(acc) if n)
-    out = [Fraction(0)] * len(acc)
+    nonzero = tuple(compress(range(len(acc)), acc))
+    out = [zero(a.mode)] * len(acc)
     for k in nonzero:
-        out[k] = Fraction(acc[k], den)
+        out[k] = entry(acc[k])
     return out, nonzero
 
 
@@ -217,10 +227,8 @@ class _Jet:
 
     def max_abs(self) -> float:
         cs = self.coeffs
-        if self.mode == RATIONAL:
-            return max((abs(float(cs[k])) for k in self.nonzero_slots()),
-                       default=0.0)
-        return max((abs(float(c)) for c in cs), default=0.0)
+        return max((abs(float(cs[k])) for k in self.nonzero_slots()),
+                   default=0.0)
 
     def __repr__(self):
         parts = []
@@ -259,19 +267,13 @@ class _Jet:
 
     def __add__(self, other):
         self._check_compatible(other)
-        if self.mode == RATIONAL:
-            return self._rational_sum(other, False)
-        return type(self)(self.order, self.mode,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, False)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        if self.mode == RATIONAL:
-            return self._rational_sum(other, True)
-        return type(self)(self.order, self.mode,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other, True)
 
-    def _rational_sum(self, other, subtract: bool):
+    def _sum(self, other, subtract: bool):
         """self + other, or self - other, over the nonzero slots of each;
         a slot where the two cancel leaves the list."""
         mine = self.nonzero_slots()
@@ -280,25 +282,25 @@ class _Jet:
             return self._made(self.coeffs, mine)
         out = list(self.coeffs)
         cb = other.coeffs
-        shared = set(mine).intersection(theirs)
-        cancelled = []
+        cancelled = False
         for k in theirs:
-            b = cb[k]
-            if k in shared:
-                b = out[k] - b if subtract else out[k] + b
+            a, b = out[k], cb[k]
+            if a:
+                b = a - b if subtract else a + b
                 if not b:
-                    cancelled.append(k)
+                    cancelled = True
             elif subtract:
                 b = -b
             out[k] = b
-        if not mine:
-            return self._made(out, theirs)
-        nonzero = set(mine).union(theirs).difference(cancelled)
-        return self._made(out, tuple(sorted(nonzero)))
+        if not mine or mine == theirs:
+            nonzero = theirs
+        else:
+            nonzero = sorted({*mine, *theirs})
+        if cancelled:
+            nonzero = [k for k in nonzero if out[k]]
+        return self._made(out, tuple(nonzero))
 
     def __neg__(self):
-        if self.mode != RATIONAL:
-            return type(self)(self.order, self.mode, [-a for a in self.coeffs])
         out = list(self.coeffs)
         nonzero = self.nonzero_slots()
         for k in nonzero:
@@ -306,37 +308,21 @@ class _Jet:
         return self._made(out, nonzero)
 
     def scaled(self, factor):
+        """``factor`` times each nonzero entry; an entry that the product
+        makes zero (a zero factor, or float underflow) leaves the list."""
         f = coerce(factor, self.mode)
-        if self.mode != RATIONAL:
-            return type(self)(self.order, self.mode,
-                              [f * a for a in self.coeffs])
-        if not f:
-            return self._made([f] * len(self.coeffs), ())
         out = list(self.coeffs)
         nonzero = self.nonzero_slots()
         for k in nonzero:
             out[k] = f * out[k]
-        return self._made(out, nonzero)
+        return self._made(out, tuple(k for k in nonzero if out[k]))
 
     def __mul__(self, other):
         if not isinstance(other, _Jet):
             return self.scaled(other)
         self._check_compatible(other)
-        table = _pair_table(self.nvars, self.order)
-        if self.mode == RATIONAL:
-            return self._made(*_rational_product(self, other, table))
-        out = [zero(self.mode)] * len(self.coeffs)
-        for ia, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            row = table[ia]
-            for ib, cb in enumerate(other.coeffs):
-                if not cb:
-                    continue
-                ic = row[ib]
-                if ic >= 0:
-                    out[ic] = out[ic] + ca * cb
-        return type(self)(self.order, self.mode, out)
+        return self._made(*_product(
+            self, other, _pair_table(self.nvars, self.order)))
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -448,21 +434,9 @@ class Jet4(_Jet):
     varnames = ("u1", "v1", "u2", "v2")
     __slots__ = ()
 
-    def graded_part(self, degree: int) -> "Jet4":
-        """The homogeneous part of the given total degree."""
-        n = len(self.coeffs)
-        lo, hi = ((math.comb(degree + 3, 4), math.comb(degree + 4, 4))
-                  if 0 <= degree <= self.order else (n, n))
-        z = (zero(self.mode),)
-        out = z * lo + self.coeffs[lo:hi] + z * (n - hi)
-        if self.mode != RATIONAL:
-            return Jet4(self.order, self.mode, out)
-        return self._made(out, tuple(
-            k for k in self.nonzero_slots() if lo <= k < hi))
-
     def graded_sizes(self) -> list:
-        """(max_abs, is_zero) of ``graded_part(d)`` for each degree d up
-        to the order, from one pass over the nonzero slots."""
+        """(max_abs, is_zero) of the homogeneous part of each degree d
+        up to the order, from one pass over the nonzero slots."""
         exps = _exponents(4, self.order)
         sizes = [[0.0, True] for _ in range(self.order + 1)]
         for k in self.nonzero_slots():
@@ -572,12 +546,6 @@ class LinearFormJet:
         return LinearFormJet(
             self.cx.partial(var), self.cy.partial(var),
             self.cz.partial(var), self.c1.partial(var),
-        )
-
-    def graded_part(self, degree: int) -> "LinearFormJet":
-        return LinearFormJet(
-            self.cx.graded_part(degree), self.cy.graded_part(degree),
-            self.cz.graded_part(degree), self.c1.graded_part(degree),
         )
 
     def evaluate(self, point4):

@@ -9,8 +9,9 @@ The Blaschke normalization and the frame rotation by whole-jet
 substitution are the references the package's graded routes are checked
 against.  So are the plain loops of the jet kernels: the recentering
 term by term and the dense rational ring rules.  A few helpers that only
-tests need live here too: the jet truncation, the push-forward of a
-frame and the envelope-row probe.
+tests need live here too: the jet truncation, the graded parts of a jet
+and of a linear form, the push-forward of a frame and the envelope-row
+probe.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from aek.geometry import (
     plane_distance,
     unit_direction,
 )
-from aek.jets import Jet2, _exponents, _pair_table, substitute
+from aek.jets import (
+    Jet2, LinearFormJet, _exponents, _pair_table, substitute,
+)
 from aek.midplanes import (
     LinearEquation,
     envelope_system,
@@ -427,10 +430,19 @@ def dense_product(p, q) -> list:
     return [Fraction(n, da * db) for n in acc]
 
 
-def dense_graded_part(p, degree: int) -> list:
+def graded_part(p, degree: int):
+    """The homogeneous part of the given total degree of a jet."""
     z = zero(p.mode)
-    return [c if sum(e) == degree else z
-            for e, c in zip(_exponents(p.nvars, p.order), p.coeffs)]
+    return type(p)(p.order, p.mode, [
+        c if sum(e) == degree else z
+        for e, c in zip(_exponents(p.nvars, p.order), p.coeffs)])
+
+
+def form_graded_part(form: LinearFormJet, degree: int) -> LinearFormJet:
+    """The homogeneous part of the given total degree of each
+    coefficient of a linear form."""
+    return LinearFormJet(*(graded_part(c, degree) for c in
+                           (form.cx, form.cy, form.cz, form.c1)))
 
 
 def dense_max_abs(p) -> float:

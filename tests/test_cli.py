@@ -510,6 +510,37 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not any(tmp_path.iterdir())
 
 
+def test_boolean_grid_is_usage_error(tmp_path, capsys):
+    """JSON ``true`` is a Python int, but not a grid size."""
+    path = write_spec(tmp_path, "bool.json", {
+        "coefficients": {"2,0": 0.5, "0,2": 0.5}, "patch": [-1, 1, -1, 1],
+        "grid": True,
+    })
+    code, out, err = run_cli(capsys, "evolute", "--spec", path,
+                             "--workers", "1", "--out", str(tmp_path / "o"))
+    assert code == 1 and out == ""
+    assert err == "error: 'grid' must be a positive integer\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["evolute", "--grid", "3", "--workers", "1"], "F"),
+    (["normalize"], "F"),
+    (["normalize"], "F/sub"),
+], ids=["evolute", "normalize", "normalize-below-file"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv, out):
+    """An ``--out`` that is a file, or lies below one, ends in one
+    ``error:`` line and exit 1, before any report is printed."""
+    (tmp_path / "F").write_text("kept\n")
+    code, stdout, err = run_cli(
+        capsys, argv[0], "--spec", str(SPECS / "cubic_six.json"), *argv[1:],
+        "--out", str(tmp_path / out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "F").read_text() == "kept\n"
+
+
 def test_empty_grid_is_checked_before_the_geometry(tmp_path, capsys):
     """``--grid 0`` is a usage error (exit 1) even on a saddle, whose
     convexity screen would end the run with exit 2."""

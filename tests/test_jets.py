@@ -15,13 +15,13 @@ from aek.scalars import FLOAT, RATIONAL, ModeMismatchError, zero
 
 from oracles import (
     dense_difference,
-    dense_graded_part,
     dense_is_zero,
     dense_max_abs,
     dense_negation,
     dense_product,
     dense_scaled,
     dense_sum,
+    graded_part,
     shifted_by_terms,
     sqrt_graph_series,
     truncated,
@@ -287,8 +287,8 @@ def test_jet4_mul_and_grading():
     p = (u1 + v2) * (u1 + v2)
     assert p.coefficient(2, 0, 0, 0) == 1
     assert p.coefficient(1, 0, 0, 1) == 2
-    assert p.graded_part(2) == p
-    assert p.graded_part(3).is_zero()
+    assert graded_part(p, 2) == p
+    assert graded_part(p, 3).is_zero()
 
 
 def test_linear_form_jet_partial_and_eval():
@@ -329,19 +329,28 @@ def test_float_compose_tracks_rational():
 # ---------------------------------------------------------------------------
 # the ring kernels against a plain per-coefficient loop
 
+_SIGNED_ZEROS = st.sampled_from((0.0, -0.0))
+
 _KERNEL_VALUES = {
     RATIONAL: st.fractions(min_value=-4, max_value=4, max_denominator=12),
-    FLOAT: st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    FLOAT: st.one_of(_SIGNED_ZEROS, st.floats(min_value=-1e3, max_value=1e3,
+                                              allow_nan=False)),
 }
+
+_ZEROS = {RATIONAL: st.just(Fraction(0)), FLOAT: _SIGNED_ZEROS}
+_ZERO_FACTORS = {RATIONAL: (Fraction(0),), FLOAT: (0.0, -0.0)}
 
 
 def _sparse_jet(cls, order, mode):
-    """A table with a few nonzero entries at drawn positions."""
+    """A table with a few drawn entries at drawn positions, and zeros
+    (of either sign, in float mode) elsewhere."""
     n = len(_exponents(cls.nvars, order))
-    return st.dictionaries(
-        st.integers(0, n - 1), _KERNEL_VALUES[mode], max_size=n,
-    ).map(lambda entries: cls(order, mode, [
-        entries.get(k, zero(mode)) for k in range(n)]))
+    return st.tuples(
+        st.dictionaries(st.integers(0, n - 1), _KERNEL_VALUES[mode],
+                        max_size=n),
+        st.lists(_ZEROS[mode], min_size=n, max_size=n),
+    ).map(lambda drawn: cls(order, mode, [
+        drawn[0].get(k, drawn[1][k]) for k in range(n)]))
 
 
 def _loop_product(p, q):
@@ -363,31 +372,63 @@ def _bits(coeffs):
     return [c.hex() if isinstance(c, float) else c for c in coeffs]
 
 
+def _scanned(jet):
+    return tuple(k for k, c in enumerate(jet.coeffs) if c)
+
+
+def _untouched(loop, base):
+    """The loop's entry where it or the entry of ``base`` is nonzero,
+    and the zero of ``base`` elsewhere: a kernel leaves a slot that no
+    nonzero entry reaches as it was, where the loop writes a sum or
+    product of two zeros, whose sign may differ in float mode."""
+    return [w if w or b else b for w, b in zip(loop, base)]
+
+
 @pytest.mark.parametrize("cls, order", [(Jet2, 5), (Jet4, 4)])
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_ring_kernels_match_coefficient_loop(cls, order, mode, data):
-    """Sparse tables: each ring operation equals the plain loop over
-    coefficients, exactly in rational mode and bit for bit in float
-    mode (the float kernels run the loop's operations in its order)."""
+    """Sparse tables with signed zeros, q drawn as well as -p and p:
+    each ring operation equals the plain loop over coefficients, exactly
+    in rational mode and bit for bit in float mode (the kernels run the
+    loop's operations in its order), except that a slot no nonzero entry
+    reaches keeps the zero of its operand, or of the product's zero
+    table.  Every result carries the nonzero slots a fresh scan finds."""
     p = data.draw(_sparse_jet(cls, order, mode))
-    q = data.draw(_sparse_jet(cls, order, mode))
+    q = data.draw(st.one_of(_sparse_jet(cls, order, mode),
+                            st.just(-p), st.just(p)))
     c = data.draw(_KERNEL_VALUES[mode])
     cases = [
-        (p * q, _loop_product(p, q)),
-        (p + q, [a + b for a, b in zip(p.coeffs, q.coeffs)]),
-        (p - q, [a - b for a, b in zip(p.coeffs, q.coeffs)]),
-        (-p, [-a for a in p.coeffs]),
-        (p.scaled(c), [c * a for a in p.coeffs]),
+        (p * q, _untouched(_loop_product(p, q),
+                           cls.zero(order, mode).coeffs)),
+        (p + q, _untouched([a + b for a, b in zip(p.coeffs, q.coeffs)],
+                           p.coeffs)),
+        (p - q, _untouched([a - b for a, b in zip(p.coeffs, q.coeffs)],
+                           p.coeffs)),
+        (-p, _untouched([-a for a in p.coeffs], p.coeffs)),
+        *((p.scaled(f), _untouched([f * a for a in p.coeffs], p.coeffs))
+          for f in (c, *_ZERO_FACTORS[mode])),
     ]
     for got, want in cases:
         assert type(got) is cls and got.mode == mode
         assert _bits(got.coeffs) == _bits(want)
+        assert got._nonzero == _scanned(got)
+        assert got.max_abs() == dense_max_abs(got)
+        assert got.is_zero() == dense_is_zero(got)
 
 
-def _scanned(jet):
-    return tuple(k for k, c in enumerate(jet.coeffs) if c)
+@pytest.mark.parametrize("cls, order", [(Jet2, 5), (Jet4, 4)])
+def test_scaled_drops_entries_that_underflow(cls, order):
+    """A float product that underflows to zero leaves the slot list, so
+    is_zero and max_abs read the scaled jet as a fresh scan would."""
+    n = len(_exponents(cls.nvars, order))
+    p = cls(order, FLOAT, [1e-200 if k in (1, n - 1) else 0.0
+                           for k in range(n)])
+    for factor, want in ((1e-200, ()), (-1e-200, ()), (1e100, (1, n - 1))):
+        got = p.scaled(factor)
+        assert got._nonzero == _scanned(got) == want
+        assert got.is_zero() == (not want)
 
 
 def _assert_rational_kernels(p, q, c):
@@ -401,9 +442,6 @@ def _assert_rational_kernels(p, q, c):
         (p.scaled(0), dense_scaled(p, 0)),
         (p * q, dense_product(p, q)),
     ]
-    if isinstance(p, Jet4):
-        cases += [(p.graded_part(d), dense_graded_part(p, d))
-                  for d in range(-1, p.order + 2)]
     for got, want in cases:
         assert type(got) is type(p) and got.mode == RATIONAL
         assert got.order == p.order and list(got.coeffs) == want
@@ -443,7 +481,7 @@ def test_graded_sizes_read_each_part(mode, data):
     """graded_sizes gives max_abs and is_zero of each graded part."""
     p = data.draw(_sparse_jet(Jet4, 4, mode))
     assert p.graded_sizes() == [
-        (p.graded_part(d).max_abs(), p.graded_part(d).is_zero())
+        (graded_part(p, d).max_abs(), graded_part(p, d).is_zero())
         for d in range(5)]
 
 

@@ -89,6 +89,11 @@ COMMANDS = (
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 0,1",
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction=-1,0",
     "invariants --spec cubic_six.json --point 0.02,-0.01 --direction 3,4",
+    # float section jets with zero slots: at the origin b = 0, so the
+    # section along direction 0 scales its jet by lambda = 6b = 0; along
+    # direction 2.0, lambda is about -1.676
+    "invariants --spec cubic_six.json --point 0,0 --direction 0",
+    "invariants --spec cubic_six.json --point 0,0 --direction 2.0",
     "normalize --spec sphere.json --point 0.02,-0.01",
     # a dense shift, off both axes
     "normalize --spec sphere.json --point=-0.031,0.047",
