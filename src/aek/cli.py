@@ -113,10 +113,21 @@ def _number(value, mode: str, what: str):
     return number
 
 
+def _unique_names(pairs) -> dict:
+    """A JSON object of the spec as a dict; a name given twice in one
+    object is a SpecFormatError."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise SpecFormatError(f"spec names {name!r} twice in one object")
+        obj[name] = value
+    return obj
+
+
 def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_names)
     except OSError as exc:
         raise SpecFormatError(f"cannot read spec: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -145,6 +156,9 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
             raise SpecFormatError(
                 f"coefficient key {key!r} is not 'i,j' with i,j >= 0"
             ) from None
+        if (i, j) in coeffs:
+            raise SpecFormatError(
+                f"coefficient key {key!r} names ({i}, {j}) a second time")
         coeffs[(i, j)] = _number(value, mode, f"coefficient {key!r}")
     patch = raw["patch"]
     if (not isinstance(patch, list) or len(patch) != 4):

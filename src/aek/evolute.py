@@ -104,13 +104,15 @@ class DirectionSextic:
         return (self.is_identically_zero()
                 or abs(self.theta_value(theta)) <= ROOT_ACCEPT * self.scale())
 
-    def is_simple_root(self, theta: float) -> bool:
-        """A root direction is simple when |dq/dtheta| clears
-        :data:`SIMPLE_ROOT_THRESHOLD` times the coefficient scale; no
-        root of an identically zero sextic is simple."""
-        return (not self.is_identically_zero()
-                and abs(self.theta_derivative(theta))
-                > SIMPLE_ROOT_THRESHOLD * self.scale())
+    def root(self, theta: float) -> "DirectionRoot":
+        """The root direction theta with dq/dtheta there.  It is simple
+        when |dq/dtheta| clears :data:`SIMPLE_ROOT_THRESHOLD` times the
+        coefficient scale; no root of an identically zero sextic is
+        simple."""
+        dq = self.theta_derivative(theta)
+        simple = (not self.is_identically_zero()
+                  and abs(dq) > SIMPLE_ROOT_THRESHOLD * self.scale())
+        return DirectionRoot(theta, simple, dq)
 
 
 def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
@@ -146,11 +148,12 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
         tuple(12 * c3 + c4 for c3, c4 in zip(q3, q4)), coeff_scale)
 
 
-def _limit_rows(frame: BlaschkeFrame, xi, eta):
+def _limit_rows(frame: BlaschkeFrame, xi, eta, forms):
     """The four envelope-limit conditions at a direction, as
-    (covector, rhs) pairs in the fixed row order."""
+    (covector, rhs) pairs in the fixed row order; ``forms`` are the
+    frame's :func:`pair_sum_forms`."""
     g_xi, g_eta = transon_gradients(frame, (xi, eta))
-    form_u, form_v = pair_sum_forms(frame)
+    form_u, form_v = forms
     r3 = form_u.at_direction(xi, eta)
     r4 = form_v.at_direction(xi, eta)
     z = coerce(0, frame.mode)
@@ -169,7 +172,8 @@ def discriminant_D(frame: BlaschkeFrame, direction):
     this convention the determinant equals
     (3/32)(xi^2+eta^2)^2 * (12 q3 + q4), positive sign.
     """
-    rows = _limit_rows(frame, *direction_pair(direction, frame.mode))
+    rows = _limit_rows(frame, *direction_pair(direction, frame.mode),
+                       pair_sum_forms(frame))
     m = tuple((*cov, rhs) for cov, rhs in rows)
     return det4(m)
 
@@ -203,7 +207,7 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
     exactly by :func:`realroots.unit_roots` and refined in float.  No
     root is dropped; roots closer together than the float resolution of
     theta share one theta and are reported once.  Simplicity is
-    :meth:`DirectionSextic.is_simple_root`.
+    :meth:`DirectionSextic.root`.
     """
     sextic = direction_sextic(frame)
     if sextic.is_identically_zero():
@@ -219,12 +223,7 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
     thetas += [math.atan2(1.0, -x) for x in unit_roots(flip[::-1])]
     thetas += [math.pi - math.atan(x) for x in unit_roots(flip)]
     return DirectionRoots(False, tuple(
-        DirectionRoot(
-            theta=th,
-            simple=sextic.is_simple_root(th),
-            q_derivative=sextic.theta_derivative(th),
-        )
-        for th in sorted({th % math.pi for th in thetas})
+        sextic.root(th) for th in sorted({th % math.pi for th in thetas})
     ), sextic)
 
 
@@ -263,13 +262,15 @@ def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
     otherwise :class:`RankDeficientError` is raised.
     """
     fr = to_float_frame(frame)
-    return _solve_at_root(fr, direction_sextic(fr), theta)
+    sextic = direction_sextic(fr)
+    return _solve_at_root(fr, sextic, sextic.root(theta), pair_sum_forms(fr))
 
 
 def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
-                   theta: float) -> EvoluteSolution:
+                   root: DirectionRoot, forms) -> EvoluteSolution:
     """:func:`solve_evolute_point` on the float frame ``fr``, given its
-    sextic."""
+    sextic, the root of the sextic and the frame's pair-sum forms."""
+    theta = root.theta
     if not sextic.is_root(theta):
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: "
@@ -277,7 +278,7 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
             f"(scale {sextic.scale():.3e})"
         )
     xi, eta = math.cos(theta), math.sin(theta)
-    rows = _limit_rows(fr, xi, eta)
+    rows = _limit_rows(fr, xi, eta, forms)
     row_scale = max(abs(c) for cov, rhs in rows for c in (*cov, rhs))
     mat = [cov for cov, _ in rows]
     rhs = [r for _, r in rows]
@@ -290,7 +291,7 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
             best_det, best_drop = dval, drop
 
     d_value = float(det4(tuple((*cov, r) for cov, r in rows)))
-    simple = sextic.is_simple_root(theta)
+    simple = root.simple
     mu_prime = section_curvature_rate(fr, (xi, eta))
     mc = moutard_center(fr, (xi, eta))
 
@@ -461,8 +462,10 @@ def compute_sample(surface: SurfaceModel, index, point,
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
     sampled along that many chart directions, and every solution gets
     its ``regular`` flag from those rates.  The point is normalized, and
-    its sextic built and its roots found, once; every root reuses them.
-    A float overflow anywhere in the sample makes it an ``error`` sample.
+    its sextic built, its roots found and its pair-sum forms built,
+    once; every root reuses them.  ``surface`` is a float surface, as
+    :func:`trace_evolute` passes it.  A float overflow anywhere in the
+    sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -492,13 +495,11 @@ def compute_sample(surface: SurfaceModel, index, point,
             ))
         else:
             status = "ok"
-            # the roots of an exact frame are found on its exact sextic;
-            # the solve runs on the float frame and its sextic
-            fr = to_float_frame(frame)
-            sextic = droots.sextic if fr is frame else direction_sextic(fr)
+            forms = pair_sum_forms(frame)
             for root in droots.roots:
                 try:
-                    sols.append(_solve_at_root(fr, sextic, root.theta))
+                    sols.append(_solve_at_root(frame, droots.sextic, root,
+                                               forms))
                 except (NoSolutionError, RankDeficientError) as exc:
                     messages.append(f"theta={root.theta:.4f}: {exc}")
         if rates is not None:
@@ -649,9 +650,9 @@ def _label_branches(samples) -> list:
 def _map_samples(surface, indexed, workers, pick_directions=0):
     """The samples, and the number of processes they ran on.
 
-    A pool runs only for more than 64 samples; for fewer, or when the
-    pool cannot start (OSError), the samples run serially in this
-    process.
+    A pool runs only for more than 64 samples, with no more processes
+    than samples; for fewer samples, or when the pool cannot start
+    (OSError), the samples run serially in this process.
     """
     task = partial(compute_sample, surface, pick_directions=pick_directions)
     indices = [idx for idx, _ in indexed]
@@ -660,6 +661,8 @@ def _map_samples(surface, indexed, workers, pick_directions=0):
         # imported here: a serial run then never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # fork starts every process at the first submit, used or not
+        workers = min(workers, len(indexed))
         chunk = max(1, len(indexed) // (workers * 4))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

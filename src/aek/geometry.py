@@ -129,11 +129,6 @@ class Quadric3:
             total = total + xh[i] * sum(row[j] * xh[j] for j in range(4))
         return total
 
-    def to_float(self) -> "Quadric3":
-        return Quadric3(
-            tuple(tuple(float(c) for c in row) for row in self.matrix), FLOAT
-        )
-
     def max_abs(self) -> float:
         return max(abs(float(c)) for row in self.matrix for c in row)
 

@@ -12,10 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateConeError
-from .frames import BlaschkeFrame, rotate_to, turned_coefficients
+from .frames import (
+    BlaschkeFrame,
+    _graded_parts,
+    _substitute_parts,
+    rotate_to,
+    turned_coefficients,
+)
 from .geometry import AtInfinity, Plane3, Quadric3, direction_pair
-from .jets import Jet2, substitute
-from .scalars import coerce, zero
+from .scalars import coerce, one, zero
 
 _INFINITY_TOL = 1e-13
 
@@ -33,21 +38,18 @@ class SectionJet:
 def section_projection(frame: BlaschkeFrame, lam) -> SectionJet:
     """Section of the graph by the plane y = lam*z, projected to (x, z).
 
-    The section curve solves y = lam * f(x, y).  Along y = 0, df/dy is
-    O(x^2), so ys = lam * f(x, 0) is off by O(x^4), and g = f(x, ys)
-    is off only at degree 6 and up: one sweep is exact at order 5.
+    The section curve solves z = f(x, lam z): the graph shear X = x,
+    Y = lam g of :func:`frames._substitute_parts`, solved degree by
+    degree, whose x^k coefficients give a3, a4 and a5.
     """
     mode = frame.mode
-    lam = coerce(lam, mode)
-    f = frame.normalized
-    xj = Jet2.variable("x", 5, mode)
-    ys = Jet2.from_terms({(i, 0): f.coefficient(i, 0) for i in range(6)},
-                         5, mode).scaled(lam)
-    g = substitute(f, (xj, ys))
+    z = zero(mode)
+    g = _substitute_parts(_graded_parts(frame.normalized),
+                          ([z, one(mode)], [z, z]), (z, coerce(lam, mode)))
     return SectionJet(
-        a3=6 * g.coefficient(3, 0),
-        a4=24 * g.coefficient(4, 0),
-        a5=120 * g.coefficient(5, 0),
+        a3=6 * g[3][3],
+        a4=24 * g[4][4],
+        a5=120 * g[5][5],
         mode=mode,
     )
 

@@ -517,45 +517,14 @@ class LinearFormJet:
             join_modes(part.mode, m)
 
     @property
-    def order(self):
-        return self.cx.order
-
-    @property
     def mode(self):
         return self.cx.mode
-
-    def __add__(self, other: "LinearFormJet") -> "LinearFormJet":
-        return LinearFormJet(
-            self.cx + other.cx, self.cy + other.cy,
-            self.cz + other.cz, self.c1 + other.c1,
-        )
 
     def __sub__(self, other: "LinearFormJet") -> "LinearFormJet":
         return LinearFormJet(
             self.cx - other.cx, self.cy - other.cy,
             self.cz - other.cz, self.c1 - other.c1,
         )
-
-    def scaled(self, factor) -> "LinearFormJet":
-        return LinearFormJet(
-            self.cx.scaled(factor), self.cy.scaled(factor),
-            self.cz.scaled(factor), self.c1.scaled(factor),
-        )
-
-    def partial(self, var: str) -> "LinearFormJet":
-        return LinearFormJet(
-            self.cx.partial(var), self.cy.partial(var),
-            self.cz.partial(var), self.c1.partial(var),
-        )
-
-    def evaluate(self, point4):
-        """Covector and constant of the affine function of X at a pair."""
-        n = (
-            self.cx.evaluate(point4),
-            self.cy.evaluate(point4),
-            self.cz.evaluate(point4),
-        )
-        return n, self.c1.evaluate(point4)
 
     def max_abs(self) -> float:
         return max(p.max_abs() for p in (self.cx, self.cy, self.cz, self.c1))

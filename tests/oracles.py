@@ -5,10 +5,10 @@ point is to check that machinery against evaluation-only computations
 (exact interpolation, quadrature, finite-difference stencils with
 self-derived weights), or, for the Pick rate, a closed form read off
 one frame that checks the package's stencil of nearby normalizations.
-The Blaschke normalization and the frame rotation by whole-jet
-substitution are the references the package's graded routes are checked
-against.  So are the plain loops of the jet kernels: the recentering
-term by term and the dense rational ring rules.  A few helpers that only
+The Blaschke normalization, the frame rotation and the planar section
+by whole-jet substitution are the references the package's graded
+routes are checked against.  So are the plain loops of the jet kernels:
+the recentering term by term and the dense rational ring rules.  A few helpers that only
 tests need live here too: the jet truncation, the graded parts of a jet
 and of a linear form, the push-forward of a frame and the envelope-row
 probe.
@@ -39,6 +39,7 @@ from aek.geometry import (
     plane_distance,
     unit_direction,
 )
+from aek.invariants import SectionJet
 from aek.jets import (
     Jet2, LinearFormJet, _exponents, _pair_table, substitute,
 )
@@ -93,6 +94,10 @@ PYTHAGOREAN_DIRECTIONS = [
     (Fraction(5, 13), Fraction(12, 13)),
     (Fraction(8, 17), Fraction(-15, 17)),
 ]
+
+#: (cos, sin) of the quarter turns, each with both signs of its zero
+AXIS_TURNS = ((1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 1.0),
+              (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +536,28 @@ def rotate_by_substitution(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
                               mode)
     return BlaschkeFrame(rotated,
                          frame.world_from_local.compose(old_from_new))
+
+
+def section_by_substitution(frame: BlaschkeFrame, lam) -> SectionJet:
+    """The section of ``section_projection`` by the route of whole jets.
+
+    The section curve solves y = lam * f(x, y).  Along y = 0, df/dy is
+    O(x^2), so ys = lam * f(x, 0) is off by O(x^4), and g = f(x, ys)
+    is off only at degree 6 and up: one sweep is exact at order 5.
+    """
+    mode = frame.mode
+    lam = coerce(lam, mode)
+    f = frame.normalized
+    xj = Jet2.variable("x", 5, mode)
+    ys = Jet2.from_terms({(i, 0): f.coefficient(i, 0) for i in range(6)},
+                         5, mode).scaled(lam)
+    g = substitute(f, (xj, ys))
+    return SectionJet(
+        a3=6 * g.coefficient(3, 0),
+        a4=24 * g.coefficient(4, 0),
+        a5=120 * g.coefficient(5, 0),
+        mode=mode,
+    )
 
 
 def push_forward(frame: BlaschkeFrame, obj):

@@ -128,6 +128,25 @@ def test_malformed_spec_values_exit_1(tmp_path, capsys, extra, message):
     assert message in err
 
 
+@pytest.mark.parametrize("text, message", [
+    # one monomial under two spellings
+    ('{"coefficients": {"2,0": 0.5, "0,2": 0.5, "02,0": 7.0, "3,0": 1.0},'
+     ' "patch": [-1, 1, -1, 1]}', "names (2, 0) a second time"),
+    # one name twice in the JSON text
+    ('{"coefficients": {"2,0": 0.5, "0,2": 0.5, "2,0": 7.0},'
+     ' "patch": [-1, 1, -1, 1]}', "names '2,0' twice"),
+    ('{"coefficients": {"2,0": 0.5, "0,2": 0.5}, "patch": [-1, 1, -1, 1],'
+     ' "patch": [-2, 2, -2, 2]}', "names 'patch' twice"),
+], ids=["two-spellings", "repeated-coefficient", "repeated-key"])
+def test_spec_naming_a_term_twice_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "normalize", "--spec", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("command", ["normalize", "invariants", "verify"])
 @pytest.mark.parametrize("body, message", [
     # Hessian diag(2, 1): det 2 has no rational square root
@@ -797,7 +816,7 @@ def test_evolute_regular_flag_wiring(tmp_path, capsys):
             rates[point] = (rate(point, (1, 0)), rate(point, (0, 1)))
         frame = normalize_at(surface, point)
         want = regularity_rule(
-            direction_sextic(frame).is_simple_root(theta),
+            direction_sextic(frame).root(theta).simple,
             section_curvature_rate(frame, (math.cos(theta),
                                            math.sin(theta))),
             rates[point])

@@ -974,6 +974,41 @@ def test_trace_parallel_matches_serial():
     assert (serial.workers, parallel.workers) == (1, 2)
 
 
+def test_pool_has_no_more_processes_than_samples(monkeypatch):
+    """The pool is sized at the number of samples when more workers are
+    asked for: a forked pool starts all of its processes at once."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    s = SurfaceModel.from_coefficients(
+        {(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1.0, (1, 2): -3.0},
+        (-0.1, 0.1, -0.1, 0.1), FLOAT,
+    )
+    serial = trace_evolute(s, grid=(9, 9), workers=1)
+    assert sizes == []
+    for asked, size in ((1000, 81), (81, 81), (2, 2)):
+        sizes.clear()
+        pooled = trace_evolute(s, grid=(9, 9), workers=asked)
+        assert sizes == [size] and pooled.workers == size
+        assert [(a.index, a.status, a.solutions) for a in pooled.samples] \
+            == [(a.index, a.status, a.solutions) for a in serial.samples]
+
+
 def test_compute_sample_normalizes_and_finds_roots_once(monkeypatch):
     import aek.evolute as evolute
 
@@ -1015,36 +1050,28 @@ def test_compute_sample_builds_the_sextic_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rational_sample_solves_on_the_float_frame(monkeypatch):
-    """A rational sample finds its roots on the exact sextic and solves
-    each on the float frame and its sextic, as
-    :func:`solve_evolute_point` does.  At (20/169, 0) the Hessian is
-    diag(17^2, 7^2)/13^2 and the two sextics differ."""
+def test_compute_sample_builds_each_root_once(monkeypatch):
+    """A sample takes dq/dtheta once per root and builds its pair-sum
+    forms once for all roots."""
     import aek.evolute as evolute
 
-    s = SurfaceModel.from_coefficients(
-        {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2), (3, 0): 1,
-         (1, 2): -3},
-        (Fraction(1, 10), Fraction(13, 100), Fraction(-1, 100),
-         Fraction(1, 100)), RATIONAL,
-    )
-    p = (Fraction(20, 169), 0)
-    frame = normalize_at(s, p)
-    floats = direction_sextic(to_float_frame(frame)).q_coeffs
-    assert direction_sextic(frame).q_coeffs != floats
-    solved = []
+    s = build_surface(load_spec(str(SPECS / "cubic_six.json")))
+    calls = {"theta_derivative": 0, "pair_sum_forms": 0}
 
-    def recorded(fr, sextic, theta, _fn=evolute._solve_at_root):
-        solved.append(sextic.q_coeffs)
-        return _fn(fr, sextic, theta)
+    def derivative(self, theta, _fn=evolute.DirectionSextic.theta_derivative):
+        calls["theta_derivative"] += 1
+        return _fn(self, theta)
 
-    monkeypatch.setattr(evolute, "_solve_at_root", recorded)
-    sample = compute_sample(s, (0, 0), p)
-    want = [solve_evolute_point(frame, r.theta)
-            for r in evolute_directions(frame).roots]
-    assert sample.status == "ok" and len(want) == 6
-    assert list(sample.solutions) == want
-    assert solved[:6] == [floats] * 6
+    def forms(frame, _fn=evolute.pair_sum_forms):
+        calls["pair_sum_forms"] += 1
+        return _fn(frame)
+
+    monkeypatch.setattr(evolute.DirectionSextic, "theta_derivative",
+                        derivative)
+    monkeypatch.setattr(evolute, "pair_sum_forms", forms)
+    sample = evolute.compute_sample(s.to_float(), (0, 0), (0.02, -0.01))
+    assert sample.status == "ok" and len(sample.solutions) == 6
+    assert calls == {"theta_derivative": 6, "pair_sum_forms": 1}
 
 
 # ---------------------------------------------------------------------------

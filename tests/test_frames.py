@@ -36,6 +36,7 @@ from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
+    AXIS_TURNS,
     PYTHAGOREAN_DIRECTIONS,
     chart_preserving_unimodular,
     graph_shear,
@@ -363,10 +364,6 @@ def test_pick_norm_invariant_under_rotation():
 
 
 #: the four axis turns, each with both signs of its zero entry
-AXIS_TURNS = ((1.0, 0.0), (1.0, -0.0), (0.0, 1.0), (-0.0, 1.0),
-              (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0))
-
-
 def _frame_reprs(frame):
     m = frame.world_from_local
     return [repr(c) for c in (*frame.normalized.coeffs,

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from aek.errors import DegenerateConeError
-from aek.frames import frame_from_coefficients, random_frame, to_float_frame
+from aek.frames import (
+    frame_from_coefficients,
+    random_frame,
+    rotate_frame,
+    to_float_frame,
+)
 from aek.geometry import AtInfinity, Plane3
 from aek.invariants import (
     SectionJet,
@@ -22,7 +27,12 @@ from aek.invariants import (
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
 
-from oracles import PYTHAGOREAN_DIRECTIONS, mu_prime_oracle
+from oracles import (
+    AXIS_TURNS,
+    PYTHAGOREAN_DIRECTIONS,
+    mu_prime_oracle,
+    section_by_substitution,
+)
 
 SPHERE_F4 = (Fraction(1, 8), 0, Fraction(1, 4), 0, Fraction(1, 8))
 
@@ -98,6 +108,44 @@ def test_section_projection_matches_swept_fixed_point():
         assert (sec.a3, sec.a4, sec.a5) == (
             6 * g.coefficient(3, 0), 24 * g.coefficient(4, 0),
             120 * g.coefficient(5, 0))
+
+
+def _section_reprs(section):
+    return [repr(c) for c in (section.a3, section.a4, section.a5)]
+
+
+def test_section_projection_matches_whole_jet_section_float():
+    """The graded section equals the whole-jet section coefficient for
+    coefficient, signed zeros included: random frames and frames with
+    signed zero coefficients, turned by random angles and the axis
+    turns, at lam = 6b, -6b, a random value and both zeros."""
+    rng = random.Random(31)
+    frames = [random_frame(rng, FLOAT) for _ in range(40)] + [
+        frame_from_coefficients(0.0, -0.0, f4=(0.0, -0.0, 0.25, 0.0, -0.0),
+                                f5=(-0.0,) * 6, mode=FLOAT),
+        frame_from_coefficients(0.3, 0.0, f4=(-0.0, 0.1, 0.0, -0.0, 0.2),
+                                mode=FLOAT)]
+    for fr in frames:
+        turns = [(math.cos(t), math.sin(t))
+                 for t in (rng.uniform(-math.pi, math.pi) for _ in range(4))]
+        for pair in turns + list(AXIS_TURNS):
+            rot = rotate_frame(fr, pair)
+            for lam in (6 * rot.b, -6 * rot.b, rng.uniform(-3, 3), 0.0, -0.0):
+                assert _section_reprs(section_projection(rot, lam)) == \
+                    _section_reprs(section_by_substitution(rot, lam))
+
+
+def test_section_projection_matches_whole_jet_section_rational():
+    rng = random.Random(37)
+    for _ in range(20):
+        fr = random_frame(rng, RATIONAL)
+        for pair in PYTHAGOREAN_DIRECTIONS:
+            rot = rotate_frame(fr, pair)
+            drawn = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for lam in (6 * rot.b, drawn, 0):
+                sec = section_projection(rot, lam)
+                want = section_by_substitution(rot, lam)
+                assert (sec.a3, sec.a4, sec.a5) == (want.a3, want.a4, want.a5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aek.cli import build_surface, load_spec
 from aek.evolute import grid_points
 from aek.frames import random_frame
-from aek.jets import Jet2, Jet4, LinearFormJet, _exponents, substitute
+from aek.jets import Jet2, Jet4, _exponents, substitute
 from aek.scalars import FLOAT, RATIONAL, ModeMismatchError, zero
 
 from oracles import (
@@ -289,22 +289,6 @@ def test_jet4_mul_and_grading():
     assert p.coefficient(1, 0, 0, 1) == 2
     assert graded_part(p, 2) == p
     assert graded_part(p, 3).is_zero()
-
-
-def test_linear_form_jet_partial_and_eval():
-    order = 3
-    u1 = Jet4.variable("u1", order, RATIONAL)
-    u2 = Jet4.variable("u2", order, RATIONAL)
-    form = LinearFormJet(
-        cx=u1 * u1, cy=u1 * u2, cz=Jet4.zero(order, RATIONAL),
-        c1=u2.scaled(3),
-    )
-    d = form.partial("u1")
-    assert d.cx == u1.scaled(2)
-    assert d.cy == u2
-    cov, const = form.evaluate((Fraction(1, 2), 0, 2, 1))
-    assert cov == (Fraction(1, 4), 1, 0)
-    assert const == 6
 
 
 def test_float_compose_tracks_rational():

@@ -79,6 +79,9 @@ SPECS = (
 COMMANDS = (
     "verify --spec paraboloid.json --mode rational --seed 1",
     "verify --spec paraboloid.json --mode rational --seed 42",
+    # fails its curvature-center-match check (exit 3) by a gap that the
+    # section route's round-off feeds
+    "verify --spec paraboloid.json --mode rational --seed 712893122",
     "verify --spec paraboloid.json --mode float --seed 7",
     "verify --spec cubic_six.json --point 0.01,0.02 --seed 3",
     "normalize --spec paraboloid.json --mode rational --point 1/3,1/7",
