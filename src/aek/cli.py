@@ -114,8 +114,7 @@ def _number(value, mode: str, what: str):
 
 
 def _unique_names(pairs) -> dict:
-    """A JSON object of the spec as a dict; a name given twice in one
-    object is a SpecFormatError."""
+    """A JSON object of the spec; a name given twice is a SpecFormatError."""
     obj = {}
     for name, value in pairs:
         if name in obj:
@@ -157,8 +156,7 @@ def load_spec(path: str, mode_override: str | None = None) -> SurfaceSpec:
                 f"coefficient key {key!r} is not 'i,j' with i,j >= 0"
             ) from None
         if (i, j) in coeffs:
-            raise SpecFormatError(
-                f"coefficient key {key!r} names ({i}, {j}) a second time")
+            raise SpecFormatError(f"coefficient {key!r} repeats ({i}, {j})")
         coeffs[(i, j)] = _number(value, mode, f"coefficient {key!r}")
     patch = raw["patch"]
     if (not isinstance(patch, list) or len(patch) != 4):

@@ -105,10 +105,9 @@ class DirectionSextic:
                 or abs(self.theta_value(theta)) <= ROOT_ACCEPT * self.scale())
 
     def root(self, theta: float) -> "DirectionRoot":
-        """The root direction theta with dq/dtheta there.  It is simple
+        """The root direction theta, with dq/dtheta there; it is simple
         when |dq/dtheta| clears :data:`SIMPLE_ROOT_THRESHOLD` times the
-        coefficient scale; no root of an identically zero sextic is
-        simple."""
+        scale, and no root of an identically zero sextic is."""
         dq = self.theta_derivative(theta)
         simple = (not self.is_identically_zero()
                   and abs(dq) > SIMPLE_ROOT_THRESHOLD * self.scale())
@@ -149,9 +148,8 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
 
 
 def _limit_rows(frame: BlaschkeFrame, xi, eta, forms):
-    """The four envelope-limit conditions at a direction, as
-    (covector, rhs) pairs in the fixed row order; ``forms`` are the
-    frame's :func:`pair_sum_forms`."""
+    """The four envelope-limit conditions at a direction, given the
+    frame's ``forms``, as (covector, rhs) pairs in the fixed row order."""
     g_xi, g_eta = transon_gradients(frame, (xi, eta))
     form_u, form_v = forms
     r3 = form_u.at_direction(xi, eta)
@@ -461,11 +459,10 @@ def compute_sample(surface: SurfaceModel, index, point,
 
     With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
     sampled along that many chart directions, and every solution gets
-    its ``regular`` flag from those rates.  The point is normalized, and
-    its sextic built, its roots found and its pair-sum forms built,
-    once; every root reuses them.  ``surface`` is a float surface, as
-    :func:`trace_evolute` passes it.  A float overflow anywhere in the
-    sample makes it an ``error`` sample.
+    its ``regular`` flag from those rates.  The float ``surface`` is
+    normalized at the point, and its sextic, roots and pair-sum forms
+    built, once; every root reuses them.  A float overflow anywhere in
+    the sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -650,9 +647,9 @@ def _label_branches(samples) -> list:
 def _map_samples(surface, indexed, workers, pick_directions=0):
     """The samples, and the number of processes they ran on.
 
-    A pool runs only for more than 64 samples, with no more processes
-    than samples; for fewer samples, or when the pool cannot start
-    (OSError), the samples run serially in this process.
+    A pool of at most one process per sample runs for more than 64
+    samples; for fewer, or when the pool cannot start (OSError), the
+    samples run serially in this process.
     """
     task = partial(compute_sample, surface, pick_directions=pick_directions)
     indices = [idx for idx, _ in indexed]

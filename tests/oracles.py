@@ -8,10 +8,10 @@ one frame that checks the package's stencil of nearby normalizations.
 The Blaschke normalization, the frame rotation and the planar section
 by whole-jet substitution are the references the package's graded
 routes are checked against.  So are the plain loops of the jet kernels:
-the recentering term by term and the dense rational ring rules.  A few helpers that only
-tests need live here too: the jet truncation, the graded parts of a jet
-and of a linear form, the push-forward of a frame and the envelope-row
-probe.
+the recentering term by term and the dense rational ring rules.  A few
+helpers that only tests need live here too: the jet truncation, the
+graded parts of a jet and of a linear form, the push-forward of a frame
+and the envelope-row probe.
 """
 
 from __future__ import annotations

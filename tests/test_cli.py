@@ -131,7 +131,7 @@ def test_malformed_spec_values_exit_1(tmp_path, capsys, extra, message):
 @pytest.mark.parametrize("text, message", [
     # one monomial under two spellings
     ('{"coefficients": {"2,0": 0.5, "0,2": 0.5, "02,0": 7.0, "3,0": 1.0},'
-     ' "patch": [-1, 1, -1, 1]}', "names (2, 0) a second time"),
+     ' "patch": [-1, 1, -1, 1]}', "repeats (2, 0)"),
     # one name twice in the JSON text
     ('{"coefficients": {"2,0": 0.5, "0,2": 0.5, "2,0": 7.0},'
      ' "patch": [-1, 1, -1, 1]}', "names '2,0' twice"),
