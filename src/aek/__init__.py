@@ -58,10 +58,8 @@ from .invariants import (
 )
 from .jets import Jet2, Jet4, LinearFormJet, substitute
 from .midplanes import (
-    EnvelopeSystem,
     check_cubic_term,
     check_quartic_term,
-    envelope_system,
     expand_mid_plane,
     mid_plane,
     midplane_limit_probe,

@@ -71,7 +71,7 @@ class DirectionSextic:
     """
 
     q_coeffs: tuple
-    #: max(1, max(|a|, |b|)^2, max |f4|) of the frame the sextic came from
+    #: max(max(|a|, |b|)^2, max |f4|) of the frame the sextic came from
     coeff_scale: float
 
     def evaluate(self, xi, eta):
@@ -136,7 +136,6 @@ def direction_sextic(frame: BlaschkeFrame) -> DirectionSextic:
         f13,
     )
     coeff_scale = max(
-        1.0,
         max(abs(float(c)) for c in (a, b)) ** 2,
         max(abs(float(c)) for c in frame.f4),
     )
@@ -461,8 +460,9 @@ def compute_sample(surface: SurfaceModel, index, point,
     sampled along that many chart directions, and every solution gets
     its ``regular`` flag from those rates.  The float ``surface`` is
     normalized at the point, and its sextic, roots and pair-sum forms
-    built, once; every root reuses them.  A float overflow anywhere in
-    the sample makes it an ``error`` sample.
+    built, once; every root reuses them.  A root whose center solve
+    raises is left out and named in the message.  A float overflow
+    anywhere in the sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -521,34 +521,29 @@ def grid_points(patch, shape):
 
 def trace_evolute(surface: SurfaceModel, grid=(41, 41),
                   workers: int = 1,
-                  pick_directions: int = 0,
-                  points=None) -> TraceResult:
+                  pick_directions: int = 0) -> TraceResult:
     """Continue the evolute over a chart grid.
 
     Grid samples are independent (and parallelizable); branches are
     labelled afterwards by :func:`_label_branches`, each a connected
     sheet with one sample per grid point.  Per-sample failures are
-    collected, never fatal.
-
-    ``points`` may supply an explicit list of ((i, j), (u, v)) samples
-    in place of the regular grid (the indices drive branch adjacency).
+    collected, never fatal: the ``non_convex`` and ``error`` samples,
+    and the ``ok`` samples whose message names a root the center solve
+    refused.
     """
     surface = surface.to_float()
-    if points is not None:
-        indexed = [(tuple(idx), (float(p[0]), float(p[1])))
-                   for idx, p in points]
-    else:
-        us, vs = grid_points(surface.patch, (grid, grid)
-                             if isinstance(grid, int) else grid)
-        indexed = [
-            ((i, j), (u, v))
-            for i, u in enumerate(us) for j, v in enumerate(vs)
-        ]
+    us, vs = grid_points(surface.patch, (grid, grid)
+                         if isinstance(grid, int) else grid)
+    indexed = [
+        ((i, j), (u, v))
+        for i, u in enumerate(us) for j, v in enumerate(vs)
+    ]
     samples, ran_on = _map_samples(surface, indexed, workers,
                                    pick_directions)
     failures = [
         (s.index, s.point, s.status, s.message)
         for s in samples if s.status in ("non_convex", "error")
+        or (s.status == "ok" and s.message)
     ]
     return TraceResult(_label_branches(samples), samples, failures, ran_on)
 

@@ -84,12 +84,6 @@ class AffineMap3:
         )
         return AffineMap3(lin, tr, self.mode)
 
-    def inverse(self) -> "AffineMap3":
-        it = matvec3(self.inv_linear, self.translation)
-        return AffineMap3(
-            self.inv_linear, tuple(-c for c in it), self.mode
-        )
-
     def apply_point(self, point):
         return tuple(
             a + b for a, b in zip(matvec3(self.linear, tuple(point)),
@@ -159,13 +153,13 @@ class SurfaceModel:
             self._screen_convexity()
 
     @classmethod
-    def from_coefficients(cls, coeffs: dict, patch, mode: str,
-                          check_convexity: bool = True) -> "SurfaceModel":
+    def from_coefficients(cls, coeffs: dict, patch,
+                          mode: str) -> "SurfaceModel":
         check_mode(mode)
         degree = max((i + j for (i, j) in coeffs), default=2)
         degree = max(degree, 2)
         jet = Jet2.from_terms(coeffs, degree, mode)
-        return cls(jet, tuple(patch), check_convexity)
+        return cls(jet, tuple(patch))
 
     @property
     def mode(self) -> str:
@@ -289,18 +283,6 @@ class BlaschkeFrame:
     @property
     def f50(self):
         return self.f5[0]
-
-    @property
-    def f30(self):
-        return self.a
-
-    @property
-    def f21(self):
-        return -3 * self.b
-
-    @property
-    def f31(self):
-        return self.f4[1]
 
     @property
     def apolarity_residuals(self):

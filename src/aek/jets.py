@@ -17,9 +17,9 @@ Everything is immutable and mode-tagged (see :mod:`aek.scalars`):
 rational-mode arithmetic is exact.  Every jet keeps the list of its
 nonzero slots: the operation that made it hands the list over, or the
 jet scans its entries once, on first use.  ``+``, ``-``, ``scaled``,
-``*``, ``max_abs`` and ``is_zero`` walk that list in both modes and
-never test or touch a zero entry, so a slot that no nonzero entry
-reaches keeps the zero it had.  A product convolves numerators over one
+``*``, ``max_abs`` and ``Jet4.graded_sizes`` walk that list in both
+modes and never test or touch a zero entry, so a slot that no nonzero
+entry reaches keeps the zero it had.  A product convolves numerators over one
 common denominator: integers for Fractions, the representation of
 FLINT's ``fmpq_poly`` (Hart, ICMS 2010), and the floats themselves over
 1.  ``Jet2.shifted`` walks a plan cached per pair of orders.
@@ -221,9 +221,6 @@ class _Jet:
         exps = _exponents(self.nvars, self.order)
         for k in self.nonzero_slots():
             yield exps[k], self.coeffs[k]
-
-    def is_zero(self) -> bool:
-        return not self.nonzero_slots()
 
     def max_abs(self) -> float:
         cs = self.coeffs
@@ -435,8 +432,8 @@ class Jet4(_Jet):
     __slots__ = ()
 
     def graded_sizes(self) -> list:
-        """(max_abs, is_zero) of the homogeneous part of each degree d
-        up to the order, from one pass over the nonzero slots."""
+        """(largest |entry|, whether zero) of the homogeneous part of each
+        degree d up to the order, from one pass over the nonzero slots."""
         exps = _exponents(4, self.order)
         sizes = [[0.0, True] for _ in range(self.order + 1)]
         for k in self.nonzero_slots():
@@ -525,9 +522,3 @@ class LinearFormJet:
             self.cx - other.cx, self.cy - other.cy,
             self.cz - other.cz, self.c1 - other.c1,
         )
-
-    def max_abs(self) -> float:
-        return max(p.max_abs() for p in (self.cx, self.cy, self.cz, self.c1))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in (self.cx, self.cy, self.cz, self.c1))

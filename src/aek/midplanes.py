@@ -59,20 +59,6 @@ class LinearEquation:
         return max(abs(float(c)) for c in (*self.coeffs, self.rhs))
 
 
-@dataclass(frozen=True)
-class EnvelopeSystem:
-    """The five envelope conditions at a concrete pair.
-
-    Rows: the mid-plane functional itself, then the difference and sum
-    combinations of its first partials in the two base points:
-    (F, F_u1 - F_u2, F_v1 - F_v2, F_u1 + F_u2, F_v1 + F_v2).
-    """
-
-    rows: tuple
-    pair: tuple
-    mode: str
-
-
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -119,86 +105,47 @@ def mid_plane_equation(target, pair) -> LinearEquation:
     return LinearEquation(cov, _SCALE * wm, mode)
 
 
-#: exponents of the constant and of du, dv, su, sv in an order-1 Jet4
-_ENVELOPE_SLOTS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                   (0, 0, 0, 1))
-
-
-def envelope_system(target, pair) -> EnvelopeSystem:
-    """Exact first-order envelope conditions at a concrete pair.
-
-    The pair moves as p1 + s + d and p2 + s - d, with d = (du, dv) and
-    s = (su, sv) the variables (u1, v1, u2, v2) of an order-1 Jet4, so
-    the mid-plane functional of the moved pair carries F in its constant
-    coefficient and F_u1 -+ F_u2, F_v1 -+ F_v2 as its derivatives along
-    du, dv, su, sv (forward-mode differentiation: the functional is
-    polynomial in the pair and affine-linear in X).
-    """
-    g = _as_surface(target)
-    mode = g.mode
-    points = tuple(tuple(coerce(c, mode) for c in p) for p in pair)
-
-    def lift(value, rate_u, rate_v, sign):
-        return Jet4.from_terms(dict(zip(
-            _ENVELOPE_SLOTS,
-            (value, sign * rate_u, sign * rate_v, rate_u, rate_v))), 1, mode)
-
-    sides = []
-    for p, sign in zip(points, (1, -1)):
-        gx, gy = g.gradient(p)
-        hxx, hxy, hyy = g.hessian(p)
-        sides += [
-            (lift(p[0], 1, 0, sign), lift(p[1], 0, 1, sign),
-             lift(g.value(p), gx, gy, sign)),
-            (lift(-gx, -hxx, -hxy, sign), lift(-gy, -hxy, -hyy, sign),
-             lift(1, 0, 0, sign)),
-        ]
-    _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
-    rows = tuple(
-        LinearEquation(tuple(_SCALE * x.coefficient(*e) for x in w),
-                       _SCALE * wm.coefficient(*e), mode)
-        for e in _ENVELOPE_SLOTS)
-    return EnvelopeSystem(rows, points, mode)
-
-
 # ---------------------------------------------------------------------------
 # exact pair-collapse expansions
 
 
-@lru_cache(maxsize=None)
-def _pair_variables(order, mode):
-    return tuple(Jet4.variable(v, order, mode) for v in Jet4.varnames)
+#: order of the pair expansions: the structural checks read degrees <= 4
+_ORDER = 4
 
 
 @lru_cache(maxsize=None)
-def _pair_monomials(order, mode):
+def _pair_variables(mode):
+    return tuple(Jet4.variable(v, _ORDER, mode) for v in Jet4.varnames)
+
+
+@lru_cache(maxsize=None)
+def _pair_monomials(mode):
     """(su, sv) and the cubics (du^3, du^2 dv, du dv^2, dv^3) of the pair
     chart, where d = p1 - p2 and s = p1 + p2: frame-independent, so
-    built once per order and mode."""
-    u1, v1, u2, v2 = _pair_variables(order, mode)
+    built once per mode."""
+    u1, v1, u2, v2 = _pair_variables(mode)
     du, dv = u1 - u2, v1 - v2
     du2, dv2 = du * du, dv * dv
     return (u1 + u2, v1 + v2), (du * du2, du2 * dv, du * dv2, dv * dv2)
 
 
-def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
+def expand_mid_plane(frame: BlaschkeFrame) -> LinearFormJet:
     """Expansion of the mid-plane functional in the pair coordinates.
 
     Returns an affine-in-X form whose four coefficients are exact Jet4
-    tables in (u1, v1, u2, v2).  Order 4 captures everything the
-    structural checks need; order 5 is available for remainder bounds.
+    tables in (u1, v1, u2, v2), through total degree 4.
     """
     mode = frame.mode
-    u1, v1, u2, v2 = _pair_variables(order, mode)
+    u1, v1, u2, v2 = _pair_variables(mode)
     f = frame.normalized
     fx = f.partial("x")
     fy = f.partial("y")
-    one = Jet4.constant(1, order, mode)
+    one = Jet4.constant(1, _ORDER, mode)
     sides = []
     for point, (u, v) in enumerate(((u1, v1), (u2, v2))):
-        sides += [(u, v, f.in_pair_chart(point, order)),
-                  (-fx.in_pair_chart(point, order),
-                   -fy.in_pair_chart(point, order), one)]
+        sides += [(u, v, f.in_pair_chart(point, _ORDER)),
+                  (-fx.in_pair_chart(point, _ORDER),
+                   -fy.in_pair_chart(point, _ORDER), one)]
     _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
     return LinearFormJet(
         cx=w[0].scaled(_SCALE),
@@ -208,19 +155,19 @@ def expand_mid_plane(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
     )
 
 
-def transon_form_jet(frame: BlaschkeFrame, order: int = 4) -> LinearFormJet:
+def transon_form_jet(frame: BlaschkeFrame) -> LinearFormJet:
     """The Transon form G evaluated on the pair difference (du, dv)."""
     mode = frame.mode
     half = coerce(1, mode) / 2
     a, b = frame.a, frame.b
-    _, (u3, u2v, uv2, v3) = _pair_monomials(order, mode)
+    _, (u3, u2v, uv2, v3) = _pair_monomials(mode)
     cubic = u3.scaled(a) - uv2.scaled(3 * a) + v3.scaled(b) \
         - u2v.scaled(3 * b)
     return LinearFormJet(
         cx=(u3 + uv2).scaled(half),
         cy=(u2v + v3).scaled(half),
         cz=cubic,
-        c1=Jet4.zero(order, mode),
+        c1=Jet4.zero(_ORDER, mode),
     )
 
 
@@ -257,9 +204,9 @@ class DirectionalForm:
             self.mode,
         )
 
-    def as_jet(self, order: int = 4) -> LinearFormJet:
+    def as_jet(self) -> LinearFormJet:
         """The form on the pair difference (du, dv), as Jet4 tables."""
-        _, monomials = _pair_monomials(order, self.mode)
+        _, monomials = _pair_monomials(self.mode)
 
         def cubic(coeffs):
             m0, m1, m2, m3 = (m.scaled(c) for m, c in zip(monomials, coeffs))
@@ -323,18 +270,20 @@ def _residual_report(diff: LinearFormJet, degrees) -> ExpansionReport:
     return ExpansionReport(worst, exact and diff.mode == RATIONAL, max(degrees))
 
 
-def _cubic_report(frame: BlaschkeFrame,
-                  expansion: LinearFormJet) -> ExpansionReport:
-    diff = expansion - transon_form_jet(frame, 4)
+def check_cubic_term(frame: BlaschkeFrame,
+                     expansion: LinearFormJet) -> ExpansionReport:
+    """The frame's mid-plane ``expansion`` agrees with the Transon form
+    through total degree 3 (exactly, in rational mode)."""
+    diff = expansion - transon_form_jet(frame)
     return _residual_report(diff, (0, 1, 2, 3))
 
 
-def _quartic_report(frame: BlaschkeFrame,
-                    expansion: LinearFormJet) -> ExpansionReport:
-    (su, sv), _ = _pair_monomials(4, frame.mode)
-    form_u, form_v = pair_sum_forms(frame)
-    ju = form_u.as_jet(4)
-    jv = form_v.as_jet(4)
+def check_quartic_term(frame: BlaschkeFrame,
+                       expansion: LinearFormJet) -> ExpansionReport:
+    """The degree-4 part of the frame's mid-plane ``expansion`` equals
+    form_u(du, dv, X) * (u1+u2) + form_v(du, dv, X) * (v1+v2)."""
+    (su, sv), _ = _pair_monomials(frame.mode)
+    ju, jv = (form.as_jet() for form in pair_sum_forms(frame))
     predicted = LinearFormJet(
         cx=ju.cx * su + jv.cx * sv,
         cy=ju.cy * su + jv.cy * sv,
@@ -342,25 +291,6 @@ def _quartic_report(frame: BlaschkeFrame,
         c1=ju.c1 * su + jv.c1 * sv,
     )
     return _residual_report(expansion - predicted, (4,))
-
-
-def check_cubic_term(frame: BlaschkeFrame) -> ExpansionReport:
-    """Pair-collapse expansion agrees with the Transon form through
-    total degree 3 (exactly, in rational mode)."""
-    return _cubic_report(frame, expand_mid_plane(frame, 4))
-
-
-def check_quartic_term(frame: BlaschkeFrame) -> ExpansionReport:
-    """The degree-4 part of the expansion equals
-    form_u(du, dv, X) * (u1+u2) + form_v(du, dv, X) * (v1+v2)."""
-    return _quartic_report(frame, expand_mid_plane(frame, 4))
-
-
-def check_expansion_terms(frame: BlaschkeFrame):
-    """(:func:`check_cubic_term`, :func:`check_quartic_term`) of the
-    frame, from one expansion of its mid-plane functional."""
-    expansion = expand_mid_plane(frame, 4)
-    return _cubic_report(frame, expansion), _quartic_report(frame, expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +302,6 @@ class ProbeReport:
     t_values: tuple
     distances: tuple
     fitted_order: float
-
-    @property
-    def converged(self) -> bool:
-        return self.fitted_order >= 0.9 or all(
-            d <= _NOISE_FLOOR for d in self.distances
-        )
 
 
 def fit_order(t_values, distances) -> float:

@@ -10,13 +10,16 @@ by whole-jet substitution are the references the package's graded
 routes are checked against.  So are the plain loops of the jet kernels:
 the recentering term by term and the dense rational ring rules.  A few
 helpers that only tests need live here too: the jet truncation, the
-graded parts of a jet and of a linear form, the push-forward of a frame
-and the envelope-row probe.
+graded parts of a jet and of a linear form, the inverse of an affine
+map and the push-forward of a frame, a surface without the load-time
+convexity screen, and the five envelope conditions at a pair with the
+probe of their limits.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -41,11 +44,14 @@ from aek.geometry import (
 )
 from aek.invariants import SectionJet
 from aek.jets import (
-    Jet2, LinearFormJet, _exponents, _pair_table, substitute,
+    Jet2, Jet4, LinearFormJet, _exponents, _pair_table, substitute,
 )
+from aek.matutil import inv3, matvec3
 from aek.midplanes import (
+    _SCALE,
     LinearEquation,
-    envelope_system,
+    _as_surface,
+    _mid_plane_terms,
     fit_order,
     pair_sum_forms,
 )
@@ -560,10 +566,17 @@ def section_by_substitution(frame: BlaschkeFrame, lam) -> SectionJet:
     )
 
 
+def inverse_map(m: AffineMap3) -> AffineMap3:
+    """The inverse affine map, from ``inv3`` of the linear part."""
+    inv = inv3(m.linear)
+    return AffineMap3(inv, tuple(-c for c in matvec3(inv, m.translation)),
+                      m.mode)
+
+
 def push_forward(frame: BlaschkeFrame, obj):
     """Map a world point, plane or quadric to the frame's local
     coordinates: the inverse of ``pull_back``."""
-    m = frame.world_from_local.inverse()
+    m = inverse_map(frame.world_from_local)
     if isinstance(obj, Plane3):
         return m.apply_plane(obj)
     if isinstance(obj, Quadric3):
@@ -571,8 +584,73 @@ def push_forward(frame: BlaschkeFrame, obj):
     return m.apply_point(obj)
 
 
+def unscreened_surface(coeffs: dict, patch, mode: str) -> SurfaceModel:
+    """``SurfaceModel.from_coefficients`` without the load-time
+    convexity screen, for heights that are not convex on the whole
+    patch."""
+    degree = max([2, *(i + j for i, j in coeffs)])
+    return SurfaceModel(Jet2.from_terms(coeffs, degree, mode), tuple(patch),
+                        check_convexity=False)
+
+
 # ---------------------------------------------------------------------------
 # envelope rows near the collapse
+
+
+@dataclass(frozen=True)
+class EnvelopeSystem:
+    """The five envelope conditions at a concrete pair.
+
+    Rows: the mid-plane functional itself, then the difference and sum
+    combinations of its first partials in the two base points:
+    (F, F_u1 - F_u2, F_v1 - F_v2, F_u1 + F_u2, F_v1 + F_v2).
+    """
+
+    rows: tuple
+    pair: tuple
+    mode: str
+
+
+#: exponents of the constant and of du, dv, su, sv in an order-1 Jet4
+_ENVELOPE_SLOTS = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                   (0, 0, 0, 1))
+
+
+def envelope_system(target, pair) -> EnvelopeSystem:
+    """Exact first-order envelope conditions at a concrete pair.
+
+    The pair moves as p1 + s + d and p2 + s - d, with d = (du, dv) and
+    s = (su, sv) the variables (u1, v1, u2, v2) of an order-1 Jet4, so
+    the mid-plane functional of the moved pair carries F in its constant
+    coefficient and F_u1 -+ F_u2, F_v1 -+ F_v2 as its derivatives along
+    du, dv, su, sv (forward-mode differentiation: the functional is
+    polynomial in the pair and affine-linear in X).
+    """
+    g = _as_surface(target)
+    mode = g.mode
+    points = tuple(tuple(coerce(c, mode) for c in p) for p in pair)
+
+    def lift(value, rate_u, rate_v, sign):
+        return Jet4.from_terms(dict(zip(
+            _ENVELOPE_SLOTS,
+            (value, sign * rate_u, sign * rate_v, rate_u, rate_v))), 1, mode)
+
+    sides = []
+    for p, sign in zip(points, (1, -1)):
+        gx, gy = g.gradient(p)
+        hxx, hxy, hyy = g.hessian(p)
+        sides += [
+            (lift(p[0], 1, 0, sign), lift(p[1], 0, 1, sign),
+             lift(g.value(p), gx, gy, sign)),
+            (lift(-gx, -hxx, -hxy, sign), lift(-gy, -hxy, -hyy, sign),
+             lift(1, 0, 0, sign)),
+        ]
+    _, _, w, wm = _mid_plane_terms(*sides, coerce(1, mode) / 2)
+    rows = tuple(
+        LinearEquation(tuple(_SCALE * x.coefficient(*e) for x in w),
+                       _SCALE * wm.coefficient(*e), mode)
+        for e in _ENVELOPE_SLOTS)
+    return EnvelopeSystem(rows, points, mode)
 
 
 def _equation_distance(e1: LinearEquation, e2: LinearEquation) -> float:

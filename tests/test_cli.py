@@ -14,9 +14,23 @@ from numpy.polynomial import polynomial
 
 import aek.cli as cli
 import aek.midplanes as midplanes
-from aek.cli import REPORT_SCHEMA, load_spec
+from aek.cli import load_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+#: JSON schema of the report envelope every command writes
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "command": {"type": "string"},
+        "spec_file": {"type": "string"},
+        "mode": {"enum": ["rational", "float"]},
+        "results": {"type": "object"},
+        "diagnostics": {"type": "object"},
+    },
+    "required": ["command", "mode", "results", "diagnostics"],
+    "additionalProperties": False,
+}
 
 
 def write_spec(tmp_path, name, body):
@@ -692,7 +706,8 @@ def test_evolute_records_float_overflow(tmp_path, capsys, mode,
                                         coefficients, overflowed):
     """A sample whose float arithmetic overflows ends as an ``error``
     failure, not as a traceback or a degenerate sample, and the run
-    goes on."""
+    goes on.  The other failures are ``ok`` samples that name a root
+    the center solve refused."""
     path = write_spec(tmp_path, "huge.json", {
         "coefficients": coefficients, "patch": [-1, 1, -1, 1], "mode": mode,
     })
@@ -703,9 +718,34 @@ def test_evolute_records_float_overflow(tmp_path, capsys, mode,
     failed = {tuple(f["index"]): f for f in results["failures"]}
     assert [list(i) for i, f in sorted(failed.items())
             if "float overflow" in f["message"]] == overflowed
-    assert all(f["status"] == "error" for f in failed.values())
+    errors = [f for f in failed.values() if f["status"] != "ok"]
+    assert all(f["status"] == "error" for f in errors)
+    assert all("rank below 3" in f["message"]
+               for f in failed.values() if f["status"] == "ok")
     assert (results["samples_ok"] + results["samples_degenerate"]
-            + len(failed)) == results["samples"] == 9
+            + len(errors)) == results["samples"] == 9
+
+
+def test_refused_roots_are_listed_as_failures(tmp_path, capsys):
+    """An ``ok`` sample that drops a root because the center solve
+    refused it is listed among the failures with its status and
+    message, and the exit code stays 0.  On the column u = 0 of this
+    patch the four envelope-limit rows at theta = 0 have norms from 0.5
+    to 1.5e17, and the solve's rank test reads them as rank below 3."""
+    path = write_spec(tmp_path, "small.json", {
+        "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1e8, "4,0": 1e17},
+        "patch": [-1, 1, -1, 1], "mode": "float",
+    })
+    code, out, _ = run_cli(capsys, "evolute", "--spec", path, "--grid", "5",
+                           "--workers", "1", "--out", str(tmp_path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["samples_ok"] == 25
+    message = ("theta=0.0000: envelope-limit matrix rank below 3 at "
+               "theta=0.000000")
+    assert [(f["index"], f["status"], f["message"])
+            for f in results["failures"]] == [
+        ([2, j], "ok", message) for j in range(5)]
 
 
 def test_invariants_float_overflow_exit_2(tmp_path, capsys):

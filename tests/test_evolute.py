@@ -49,6 +49,7 @@ from oracles import (
     PYTHAGOREAN_DIRECTIONS,
     pick_invariant_rate,
     sphere_surface,
+    unscreened_surface,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -177,6 +178,29 @@ def test_sphere_roots_identically_zero():
     roots = evolute_directions(sphere_frame())
     assert roots.identically_zero
     assert roots.roots == ()
+
+
+def test_sextic_zero_test_scales_with_the_frame():
+    """A frame whose normalized cubic and quartic are small (a about
+    3e-10, f4 about 1e-18) keeps its nonzero sextic, so no sample of the
+    patch reads as umbilic; float frames of the sphere and the
+    paraboloid, whose sextics are round-off, still read identically
+    zero."""
+    surface = SurfaceModel.from_coefficients(
+        {(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1e8, (4, 0): 1e17},
+        (-1, 1, -1, 1), FLOAT)
+    roots = evolute_directions(normalize_at(surface, (0.5, 0.5)))
+    assert not roots.identically_zero
+    assert [r.theta for r in roots.roots] == [0.0, math.pi / 2]
+    trace = trace_evolute(surface, grid=5)
+    assert all(s.status == "ok" for s in trace.samples)
+    for name in ("sphere.json", "paraboloid.json"):
+        surface = build_surface(load_spec(str(SPECS / name), FLOAT))
+        us, vs = grid_points(surface.patch, (5, 5))
+        for u in us:
+            for v in vs:
+                frame = normalize_at(surface, (u, v))
+                assert evolute_directions(frame).identically_zero
 
 
 def test_random_roots_satisfy_postconditions():
@@ -669,8 +693,7 @@ def test_pick_invariant_rate_is_the_first_order_normalization():
     rng = random.Random(12)
     for _ in range(10):
         coeffs = _random_height(rng)
-        surface = SurfaceModel.from_coefficients(
-            coeffs, (-1, 1, -1, 1), RATIONAL, check_convexity=False)
+        surface = unscreened_surface(coeffs, (-1, 1, -1, 1), RATIONAL)
         frame = normalize_at(surface, (0, 0))
         assert any(frame.world_from_local.linear[i][2] for i in (0, 1))
         w = (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5)))
@@ -696,8 +719,7 @@ def test_pick_derivative_matches_closed_form(monkeypatch):
                   (0, 2): h11 / 2}
         coeffs.update({(d - i, i): rng.uniform(-1, 1) for d in (3, 4, 5)
                        for i in range(d + 1)})
-        surface = SurfaceModel.from_coefficients(
-            coeffs, (-0.2, 0.2, -0.2, 0.2), FLOAT, check_convexity=False)
+        surface = unscreened_surface(coeffs, (-0.2, 0.2, -0.2, 0.2), FLOAT)
         p = (rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         ang = rng.uniform(0.0, math.pi)
         w = (math.cos(ang), math.sin(ang))

@@ -40,12 +40,14 @@ from oracles import (
     PYTHAGOREAN_DIRECTIONS,
     chart_preserving_unimodular,
     graph_shear,
+    inverse_map,
     map_chart_point,
     normalize_by_substitution,
     push_forward,
     rotate_by_substitution,
     sphere_surface,
     transform_graph_surface,
+    unscreened_surface,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -157,10 +159,8 @@ def test_tangent_plane_maps_correctly():
 
 
 def test_non_convex_point_rejected():
-    s = SurfaceModel.from_coefficients(
-        {(2, 0): 1, (0, 2): -1}, (-1, 1, -1, 1), RATIONAL,
-        check_convexity=False,
-    )
+    s = unscreened_surface({(2, 0): 1, (0, 2): -1}, (-1, 1, -1, 1),
+                           RATIONAL)
     with pytest.raises(NonConvexPointError):
         normalize_at(s, (0, 0))
 
@@ -515,7 +515,7 @@ def test_normal_form_covariance_under_chart_preserving_maps():
         amap = chart_preserving_unimodular(rng)
         moved = transform_graph_surface(base, amap)
         fr2 = normalize_at(moved, map_chart_point(amap, p0))
-        g = fr2.world_from_local.inverse().compose(
+        g = inverse_map(fr2.world_from_local).compose(
             amap.compose(fr.world_from_local))
         lin = g.linear
         # block structure: no coupling between tangent block and z
@@ -550,7 +550,7 @@ def test_moutard_center_world_is_map_covariant():
         # the same geometric direction in the new local chart
         d_local = (1.0, 0.0)
         d_world = pull_back_direction(fr, (*d_local, 0.0))
-        d_new = fr2.world_from_local.inverse().apply_vector(
+        d_new = inverse_map(fr2.world_from_local).apply_vector(
             amap.apply_vector(d_world))
         c2 = pull_back(fr2, moutard_center(fr2, (d_new[0], d_new[1])))
         want = amap.apply_point(center)
@@ -567,4 +567,5 @@ def test_rational_roundtrip_exact():
     p = (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 9))
     assert push_forward(sheared, pull_back(sheared, p)) == p
     m = sheared.world_from_local
-    assert m.compose(m.inverse()).linear == AffineMap3.identity(RATIONAL).linear
+    assert m.compose(inverse_map(m)).linear == \
+        AffineMap3.identity(RATIONAL).linear

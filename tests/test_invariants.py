@@ -50,6 +50,11 @@ def generic_frame():
     )
 
 
+def f30_f21(fr):
+    """The coefficients of x^3 and x^2 y of the frame's jet: a and -3b."""
+    return fr.normalized.coefficient(3, 0), fr.normalized.coefficient(2, 1)
+
+
 # ---------------------------------------------------------------------------
 # planar sections
 
@@ -63,23 +68,24 @@ def test_paraboloid_section_is_parabola():
 def test_section_coefficients_at_lambda_zero():
     fr = generic_frame()
     sec = section_projection(fr, 0)
-    assert sec.a3 == 6 * fr.f30
+    assert sec.a3 == 6 * f30_f21(fr)[0]
     assert sec.a4 == 24 * fr.f4[0]
 
 
 def test_section_a4_general_lambda():
     fr = generic_frame()
+    f21 = f30_f21(fr)[1]
     for lam in (Fraction(1, 2), Fraction(-2), Fraction(3)):
         sec = section_projection(fr, lam)
-        assert sec.a4 == 24 * (lam * lam / 8 + lam * fr.f21 / 2 + fr.f4[0])
+        assert sec.a4 == 24 * (lam * lam / 8 + lam * f21 / 2 + fr.f4[0])
 
 
 def test_section_through_cone_ruling():
     # the plane y = -2 f21 z contains (1,0) and the cone ruling
     fr = generic_frame()
-    lam = -2 * fr.f21
-    sec = section_projection(fr, lam)
-    assert sec.a4 == 24 * (fr.f4[0] - fr.f21 ** 2 / 2)
+    f21 = f30_f21(fr)[1]
+    sec = section_projection(fr, -2 * f21)
+    assert sec.a4 == 24 * (fr.f4[0] - f21 ** 2 / 2)
 
 
 def test_section_quintic_coefficient_closed_form():
@@ -89,7 +95,7 @@ def test_section_quintic_coefficient_closed_form():
     sec = section_projection(fr, 6 * b)
     assert sec.a3 == 6 * a
     assert sec.a4 == 24 * (fr.f4[0] - Fraction(9, 2) * b * b)
-    assert sec.a5 == 120 * (-27 * a * b * b + 3 * b * fr.f31 + fr.f50)
+    assert sec.a5 == 120 * (-27 * a * b * b + 3 * b * fr.f4[1] + fr.f50)
 
 
 def test_section_projection_matches_swept_fixed_point():
@@ -191,7 +197,8 @@ def test_euler_relation_exact():
 
 def test_su_direction_closed_form():
     fr = generic_frame()
-    assert su_cone_direction(fr, (1, 0)) == (-2 * fr.f30, -2 * fr.f21, 1)
+    f30, f21 = f30_f21(fr)
+    assert su_cone_direction(fr, (1, 0)) == (-2 * f30, -2 * f21, 1)
 
 
 def test_su_direction_no_cubic_is_vertical():
@@ -301,7 +308,7 @@ def test_osculating_conics_lie_on_quadric():
     fr = frame_from_coefficients(
         0.21, -0.13, f4=(0.12, 0.07, -0.04, 0.05, 0.2), mode=FLOAT,
     )
-    f30 = float(fr.f30)
+    f30 = float(f30_f21(fr)[0])
     quadric = moutard_quadric(fr, (1.0, 0.0))
     scale = quadric.max_abs()
     for lam in (-1.0, 0.0, 1.0):
@@ -346,9 +353,10 @@ def test_conics_have_constant_curvature():
 
 def test_curvature_formula_matches_ruling_section():
     fr = generic_frame()
-    sec = section_projection(fr, -2 * fr.f21)
+    f30, f21 = f30_f21(fr)
+    f40 = fr.f4[0]
+    sec = section_projection(fr, -2 * f21)
     mu = affine_curvature(sec)
-    f30, f21, f40 = fr.f30, fr.f21, fr.f4[0]
     assert mu == -4 * (5 * f30 ** 2 - 2 * f40 + f21 ** 2)
 
 

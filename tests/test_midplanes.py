@@ -13,7 +13,6 @@ from aek.jets import Jet4
 from aek.midplanes import (
     check_cubic_term,
     check_quartic_term,
-    envelope_system,
     expand_mid_plane,
     mid_plane,
     mid_plane_equation,
@@ -24,6 +23,7 @@ from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
     envelope_limit_probe,
+    envelope_system,
     evaluate_midplane_exact,
     form_graded_part,
     fraction_gauss_solve,
@@ -274,20 +274,33 @@ def test_difference_rows_scale_to_transon_gradients():
 # exact expansions
 
 
+def _form_is_zero(form) -> bool:
+    return not any(part.nonzero_slots()
+                   for part in (form.cx, form.cy, form.cz, form.c1))
+
+
+def _cubic_check(frame):
+    return check_cubic_term(frame, expand_mid_plane(frame))
+
+
+def _quartic_check(frame):
+    return check_quartic_term(frame, expand_mid_plane(frame))
+
+
 def test_low_order_part_vanishes():
     rng = random.Random(6)
     for _ in range(5):
         fr = random_frame(rng, RATIONAL)
-        form = expand_mid_plane(fr, 4)
+        form = expand_mid_plane(fr)
         for d in (0, 1, 2):
-            assert form_graded_part(form, d).is_zero()
+            assert _form_is_zero(form_graded_part(form, d))
 
 
 def test_cubic_part_coefficients():
     # x-coefficient of the cubic part reads du (du^2 + dv^2)/2
     fr = frame_from_coefficients(Fraction(1, 2), Fraction(-1, 3),
                                  mode=RATIONAL)
-    form = expand_mid_plane(fr, 4)
+    form = expand_mid_plane(fr)
     cx = form.cx
     assert cx.coefficient(3, 0, 0, 0) == Fraction(1, 2)
     assert cx.coefficient(2, 0, 1, 0) == Fraction(-3, 2)
@@ -302,7 +315,7 @@ def test_quartic_cubic_form_terms_match_display():
     # + 3a/2 dv^3) sv
     a = Fraction(2, 5)
     fr = frame_from_coefficients(a, 0, mode=RATIONAL)
-    form = expand_mid_plane(fr, 4)
+    form = expand_mid_plane(fr)
     u1, v1, u2, v2 = (Jet4.variable(n, 4, RATIONAL) for n in Jet4.varnames)
     du, dv = u1 - u2, v1 - v2
     su, sv = u1 + u2, v1 + v2
@@ -322,21 +335,21 @@ def test_expansion_against_brute_force_oracle():
     for _ in range(5):
         fr = random_frame(rng, RATIONAL, magnitude=3)
         oracle = midplane_taylor_oracle(fr, 4)
-        tables = linear_form_tables(expand_mid_plane(fr, 4))
+        tables = linear_form_tables(expand_mid_plane(fr))
         assert oracle == tables
 
 
-@pytest.mark.parametrize("order", [4, 5])
-def test_float_expansion_tracks_rational(order):
+def test_float_expansion_tracks_rational():
     """Float and rational expansions run different jet kernels; on the
     same frame they agree to within 1e-12 of the coefficient scale."""
     rng = random.Random(21)
     for _ in range(10):
         fr = random_frame(rng, RATIONAL)
-        exact = expand_mid_plane(fr, order)
-        approx = expand_mid_plane(to_float_frame(fr), order)
+        exact = expand_mid_plane(fr)
+        approx = expand_mid_plane(to_float_frame(fr))
         assert approx.mode == FLOAT
-        scale = max(1.0, exact.max_abs())
+        scale = max(1.0, *(getattr(exact, part).max_abs()
+                           for part in ("cx", "cy", "cz", "c1")))
         for part in ("cx", "cy", "cz", "c1"):
             e, f = getattr(exact, part), getattr(approx, part)
             worst = max(abs(float(a) - b) for a, b in zip(e.coeffs, f.coeffs))
@@ -346,27 +359,27 @@ def test_float_expansion_tracks_rational(order):
 def test_cubic_term_check_exact_rational():
     rng = random.Random(12)
     for _ in range(20):
-        report = check_cubic_term(random_frame(rng, RATIONAL))
+        report = _cubic_check(random_frame(rng, RATIONAL))
         assert report.exact
         assert report.max_abs_residual == 0
 
 
 def test_cubic_term_check_paraboloid():
-    report = check_cubic_term(frame_from_coefficients(0, 0, mode=RATIONAL))
+    report = _cubic_check(frame_from_coefficients(0, 0, mode=RATIONAL))
     assert report.exact
 
 
 def test_cubic_term_check_float():
     rng = random.Random(13)
     for _ in range(5):
-        report = check_cubic_term(random_frame(rng, FLOAT))
+        report = _cubic_check(random_frame(rng, FLOAT))
         assert report.max_abs_residual < 1e-12
 
 
 def test_quartic_term_check_exact_rational():
     rng = random.Random(14)
     for _ in range(20):
-        report = check_quartic_term(random_frame(rng, RATIONAL))
+        report = _quartic_check(random_frame(rng, RATIONAL))
         assert report.exact
         assert report.max_abs_residual == 0
 
@@ -378,22 +391,22 @@ def test_quartic_term_check_no_cubic():
         f4 = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                    for _ in range(5))
         fr = frame_from_coefficients(0, 0, f4=f4, mode=RATIONAL)
-        assert check_quartic_term(fr).exact
+        assert _quartic_check(fr).exact
 
 
 def test_quartic_term_check_float():
     rng = random.Random(16)
     for _ in range(5):
-        report = check_quartic_term(random_frame(rng, FLOAT))
+        report = _quartic_check(random_frame(rng, FLOAT))
         assert report.max_abs_residual < 1e-12
 
 
 def test_transon_form_jet_is_graded_cubic():
     fr = frame_from_coefficients(Fraction(1, 4), Fraction(-2, 7),
                                  mode=RATIONAL)
-    g = transon_form_jet(fr, 4)
+    g = transon_form_jet(fr)
     assert form_graded_part(g, 3).cx == g.cx
-    assert g.c1.is_zero()
+    assert not g.c1.nonzero_slots()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +417,7 @@ def test_paraboloid_probe_is_exact():
     fr = frame_from_coefficients(0, 0, mode=FLOAT)
     probe = midplane_limit_probe(fr, (1.0, 0.0), (1e-1, 1e-2, 1e-3, 1e-4))
     assert all(d <= 1e-14 for d in probe.distances)
-    assert probe.converged
+    assert probe.fitted_order >= 0.9
 
 
 def test_generic_probe_order_at_least_one():
@@ -445,22 +458,3 @@ def test_envelope_rows_converge_to_limit_forms():
         for order in orders:
             # slope of a short log-log fit of an O(t) sequence
             assert order >= 0.9
-
-
-def test_order_five_expansion_extends_order_four():
-    # order 5 is available to bound the remainder: degrees <= 4 agree
-    # with the order-4 run and a generic frame has a nonzero degree-5
-    # remainder term
-    rng = random.Random(19)
-    fr = random_frame(rng, RATIONAL)
-    f4 = expand_mid_plane(fr, 4)
-    f5 = expand_mid_plane(fr, 5)
-    for d in range(5):
-        for part4, part5 in (
-            (graded_part(f4.cx, d), graded_part(f5.cx, d)),
-            (graded_part(f4.cz, d), graded_part(f5.cz, d)),
-            (graded_part(f4.c1, d), graded_part(f5.c1, d)),
-        ):
-            assert dict(part4.terms()) == dict(part5.terms())
-    remainder = [f5.cx, f5.cy, f5.cz, f5.c1]
-    assert any(not graded_part(p, 5).is_zero() for p in remainder)

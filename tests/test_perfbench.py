@@ -79,3 +79,22 @@ def test_launcher_runs_rational_verify(tmp_path):
          "--mode", "rational", "--seed", "1"],
         cwd=tmp_path, capture_output=True, timeout=300, check=False)
     assert json.loads(sidecar.read_text())["exit_code"] == 0
+
+
+def test_traced_verify_counts_the_expansion_checks(tmp_path):
+    """A traced rational ``verify`` expands each of its 20 random frames
+    once and runs both structural checks on that expansion, and the
+    tracer sees every call."""
+    sidecar = tmp_path / "sidecar.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(sidecar),
+         "--trace", "--", "verify",
+         "--spec", str(ROOT / "specs" / "paraboloid.json"),
+         "--mode", "rational", "--seed", "1"],
+        cwd=tmp_path, capture_output=True, timeout=300, check=False)
+    info = json.loads(sidecar.read_text())
+    assert info["exit_code"] == 0
+    spans = info["trace"]["spans"]
+    assert [spans[f"midplanes.{name}"][0] for name in (
+        "expand_mid_plane", "check_cubic_term", "check_quartic_term")] \
+        == [20, 20, 20]
