@@ -61,12 +61,12 @@ from .geometry import (
     unit_direction,
 )
 from .invariants import (
-    _section_along,
     affine_curvature,
     affine_curvature_derivative,
     center_of_affine_curvature,
     moutard_center,
     moutard_quadric,
+    section_along,
     su_cone_direction,
     transon_gradients,
     transon_plane,
@@ -77,7 +77,7 @@ from .midplanes import (
     expand_mid_plane,
     midplane_limit_probe,
 )
-from .scalars import FLOAT, RATIONAL, coerce, format_scalar
+from .scalars import FLOAT, RATIONAL, coerce
 
 _SPEC_KEYS = {"coefficients", "patch", "mode", "grid"}
 
@@ -197,7 +197,7 @@ def parse_direction(text: str):
 
 def jsonable(obj):
     if isinstance(obj, Fraction):
-        return format_scalar(obj)
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
         return obj
     if isinstance(obj, (int, str, bool)) or obj is None:
@@ -224,16 +224,15 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_report(command: str, spec: SurfaceSpec | None, results: dict,
+def render_report(command: str, spec: SurfaceSpec, results: dict,
                   diagnostics: dict) -> str:
-    body = {"command": command}
-    if spec is not None:
-        body["spec_file"] = spec.path
-        body["mode"] = spec.mode
-    else:
-        body["mode"] = FLOAT
-    body["results"] = jsonable(results)
-    body["diagnostics"] = jsonable(diagnostics)
+    body = {
+        "command": command,
+        "spec_file": spec.path,
+        "mode": spec.mode,
+        "results": jsonable(results),
+        "diagnostics": jsonable(diagnostics),
+    }
     return json.dumps(body, indent=2)
 
 
@@ -284,16 +283,11 @@ def cmd_invariants(spec: SurfaceSpec, point_text: str,
     quadric = moutard_quadric(frame, t)
     center = moutard_center(frame, t)
     curv_center = center_of_affine_curvature(frame, t)
-    section, lam, _ = _section_along(frame, t)
+    section, lam, _ = section_along(frame, t)
     mu = affine_curvature(section)
     mu_prime = affine_curvature_derivative(section)
 
     def both(obj):
-        if isinstance(obj, AtInfinity):
-            return {
-                "local": obj,
-                "world": AtInfinity(pull_back_direction(frame, obj.direction)),
-            }
         return {"local": obj, "world": pull_back(frame, obj)}
 
     results = {
@@ -331,6 +325,9 @@ def _draw_direction(rng: random.Random, mode: str):
 
 
 def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
+    # the spec surface's own frame first, so that a bad point or spec
+    # fails before the random checks; its check is reported last
+    frame = normalize_at(build_surface(spec), point)
     mode = spec.mode
     rng = random.Random(seed)
     checks = []
@@ -448,9 +445,6 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
     add("midplane-limit-order", min(orders) >= 0.9,
         {"min_fitted_order": min(orders)})
 
-    # the spec surface's own frame
-    surface = build_surface(spec)
-    frame = normalize_at(surface, point)
     ap = frame.apolarity_residuals
     ap_worst = max(abs(float(r)) for r in ap)
     add("surface-frame-apolarity", ap_worst < 1e-10,

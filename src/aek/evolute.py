@@ -30,11 +30,16 @@ from .frames import (
     binary_form,
     normalize_at,
     pull_back,
-    pull_back_direction,
     to_float_frame,
     turned_coefficients,
 )
-from .geometry import AtInfinity, angle_gap, direction_pair, unit_direction
+from .geometry import (
+    AtInfinity,
+    angle_gap,
+    coordinates_text,
+    direction_pair,
+    unit_direction,
+)
 from .invariants import (
     SectionJet,
     affine_curvature_derivative,
@@ -299,7 +304,7 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
             )
         return EvoluteSolution(
             theta=theta, center_local=mc,
-            center_world=AtInfinity(pull_back_direction(fr, mc.direction)),
+            center_world=pull_back(fr, mc),
             residuals=None, dropped_index=None,
             d_value=d_value, simple_root=simple,
             mu_prime=mu_prime, moutard_gap=None,
@@ -349,7 +354,8 @@ def pick_derivative(surface: SurfaceModel, p0, direction_w) -> float:
     for p in (pp, pm):
         if not surface.contains(p):
             raise PatchBoundsError(
-                f"stencil point {p} outside patch {surface.patch}"
+                f"stencil point {coordinates_text(p)} outside patch "
+                f"{coordinates_text(surface.patch)}"
             )
     bp, bm = (math.sqrt(pick_invariant(normalize_at(surface, p)))
               for p in (pp, pm))

@@ -23,7 +23,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NonConvexPointError, NormalizationError, PatchBoundsError
-from .geometry import Plane3, Quadric3, direction_pair, unit_direction
+from .geometry import (
+    AtInfinity,
+    Plane3,
+    Quadric3,
+    coordinates_text,
+    direction_pair,
+    unit_direction,
+)
 from .jets import Jet2
 from .matutil import det3, inv3, matmul3, matvec3, transpose3
 from .scalars import (
@@ -359,7 +366,7 @@ def _product(pairs, z, size: int) -> list:
     return out
 
 
-def _graded_parts(jet: Jet2) -> list:
+def graded_parts(jet: Jet2) -> list:
     """The homogeneous parts of an order-5 jet as binary forms (see
     :func:`_product`), those of degree 0 and 1 taken as zero."""
     z = zero(jet.mode)
@@ -373,7 +380,7 @@ def _jet_of_parts(parts, mode: str) -> Jet2:
     return Jet2(5, mode, [c for part in parts for c in part])
 
 
-def _substitute_parts(parts, lin, shear=None) -> list:
+def substitute_parts(parts, lin, shear=None) -> list:
     """The homogeneous parts of g = h(X, Y), degree by degree, for the
     parts of h (none below degree 2) and the linear forms ``lin``.  With
     ``shear`` = (alpha, beta), X = x + alpha g and Y = y + beta g: the
@@ -454,25 +461,26 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     mode = surface.mode
     p0 = tuple(coerce(c, mode) for c in p0)
     if not surface.contains(p0):
-        raise PatchBoundsError(f"point {p0} outside patch {surface.patch}")
+        raise PatchBoundsError(f"point {coordinates_text(p0)} outside patch "
+                               f"{coordinates_text(surface.patch)}")
 
     shifted = surface.height.shifted(p0, 5)
     c0, gu, gv = (shifted.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1)))
     o, z = one(mode), zero(mode)
-    parts = _graded_parts(shifted)
+    parts = graded_parts(shifted)
     s00, s01, s11 = _sym_inv_sqrt2(
         2 * parts[2][2], parts[2][1], 2 * parts[2][0], mode)
     # S = 2^e R: R is exact, and the part of degree d takes the factor
     # 2^(d e) in one rounding, which underflows only where the result does
     e = math.frexp(max(abs(s00), abs(s01), abs(s11)))[1] if mode == FLOAT else 0
     r00, r01, r11 = (math.ldexp(s, -e) if e else s for s in (s00, s01, s11))
-    parts = _substitute_parts(parts, ([r01, r00], [r11, r01]))
+    parts = substitute_parts(parts, ([r01, r00], [r11, r01]))
     if e:
         parts = [[math.ldexp(c, d * e) for c in part]
                  for d, part in enumerate(parts)]
     alpha, beta = (-r / 2 for r in _apolarity_pair(
         _jet_of_parts(parts, mode)))
-    parts = _substitute_parts(parts, ([z, o], [o, z]), (alpha, beta))
+    parts = substitute_parts(parts, ([z, o], [o, z]), (alpha, beta))
     h = _jet_of_parts(parts, mode)
     if mode == FLOAT:
         h = _snap_normal_form(h)
@@ -500,8 +508,8 @@ def rotate_frame(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
     c, s = (coerce(t, mode) for t in cos_sin)
     if mode == RATIONAL and c * c + s * s != 1:
         raise ValueError("cos_sin pair is not on the unit circle")
-    rotated = _jet_of_parts(_substitute_parts(
-        _graded_parts(frame.normalized), ([s, c], [c, -s])), mode)
+    rotated = _jet_of_parts(substitute_parts(
+        graded_parts(frame.normalized), ([s, c], [c, -s])), mode)
     if mode == FLOAT:
         rotated = _snap_normal_form(rotated)
     return BlaschkeFrame(rotated,
@@ -568,12 +576,15 @@ def turned_coefficients(frame: BlaschkeFrame, direction):
 
 
 def pull_back(frame: BlaschkeFrame, obj):
-    """Map a local point, plane or quadric to world coordinates."""
+    """Map a local point, point at infinity, plane or quadric to world
+    coordinates."""
     m = frame.world_from_local
     if isinstance(obj, Plane3):
         return m.apply_plane(obj)
     if isinstance(obj, Quadric3):
         return m.apply_quadric(obj)
+    if isinstance(obj, AtInfinity):
+        return AtInfinity(m.apply_vector(obj.direction))
     return m.apply_point(obj)
 
 def pull_back_direction(frame: BlaschkeFrame, vector):

@@ -14,30 +14,10 @@ from .scalars import FLOAT, coerce, sqrt_scalar
 
 @dataclass(frozen=True)
 class AtInfinity:
-    """Marker value for centers that recede to infinity.
-
-    Carries the asymptotic direction; compares equal to any other
-    AtInfinity with a parallel direction.
-    """
+    """Marker value for centers that recede to infinity, carrying the
+    asymptotic direction."""
 
     direction: tuple
-
-    def __eq__(self, other):
-        if not isinstance(other, AtInfinity):
-            return NotImplemented
-        ax, ay, az = (float(c) for c in self.direction)
-        bx, by, bz = (float(c) for c in other.direction)
-        cx = ay * bz - az * by
-        cy = az * bx - ax * bz
-        cz = ax * by - ay * bx
-        na = math.hypot(ax, ay, az)
-        nb = math.hypot(bx, by, bz)
-        if na == 0 or nb == 0:
-            return True
-        return math.hypot(cx, cy, cz) <= 1e-9 * na * nb
-
-    def __hash__(self):
-        return hash("AtInfinity")
 
 
 @dataclass(frozen=True)
@@ -54,11 +34,6 @@ class Plane3:
             raise ValueError("plane normal must have 3 components")
         if not any(self.normal):
             raise ValueError("plane covector is zero")
-
-    def value(self, point):
-        n1, n2, n3 = self.normal
-        x, y, z = point
-        return n1 * x + n2 * y + n3 * z - self.offset
 
     def canonical(self) -> "Plane3":
         """Scale so max |component| is 1 and that component is positive."""
@@ -121,17 +96,6 @@ class Quadric3:
                     raise ValueError("quadric matrix must be symmetric")
         object.__setattr__(self, "matrix", m)
 
-    def evaluate(self, point):
-        xh = (*point, 1)
-        total = 0
-        for i in range(4):
-            row = self.matrix[i]
-            total = total + xh[i] * sum(row[j] * xh[j] for j in range(4))
-        return total
-
-    def max_abs(self) -> float:
-        return max(abs(float(c)) for row in self.matrix for c in row)
-
 
 def direction_pair(direction, mode: str = FLOAT):
     """A tangent direction (xi, eta) as scalars of ``mode``; (0, 0) is
@@ -152,6 +116,12 @@ def unit_direction(direction, mode: str = FLOAT):
     else:
         n = sqrt_scalar(xi * xi + eta * eta, mode)
     return xi / n, eta / n
+
+
+def coordinates_text(values) -> str:
+    """A point or a patch as ``(2, 1/3)``: each coordinate by ``str``,
+    which writes a Fraction as p/q and a float as its repr."""
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def angle_gap(t1: float, t2: float) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from .errors import DegenerateConeError
 from .frames import (
     BlaschkeFrame,
-    _graded_parts,
-    _substitute_parts,
+    graded_parts,
     rotate_to,
+    substitute_parts,
     turned_coefficients,
 )
 from .geometry import AtInfinity, Plane3, Quadric3, direction_pair
@@ -39,13 +39,13 @@ def section_projection(frame: BlaschkeFrame, lam) -> SectionJet:
     """Section of the graph by the plane y = lam*z, projected to (x, z).
 
     The section curve solves z = f(x, lam z): the graph shear X = x,
-    Y = lam g of :func:`frames._substitute_parts`, solved degree by
+    Y = lam g of :func:`frames.substitute_parts`, solved degree by
     degree, whose x^k coefficients give a3, a4 and a5.
     """
     mode = frame.mode
     z = zero(mode)
-    g = _substitute_parts(_graded_parts(frame.normalized),
-                          ([z, one(mode)], [z, z]), (z, coerce(lam, mode)))
+    g = substitute_parts(graded_parts(frame.normalized),
+                         ([z, one(mode)], [z, z]), (z, coerce(lam, mode)))
     return SectionJet(
         a3=6 * g[3][3],
         a4=24 * g[4][4],
@@ -138,7 +138,7 @@ def moutard_center(frame: BlaschkeFrame, direction):
     return back.apply_point(tuple(c / den for c in num))
 
 
-def _section_along(frame: BlaschkeFrame, direction):
+def section_along(frame: BlaschkeFrame, direction):
     """(section, lam, back): the section spanned by the direction and
     its cone ruling, as the plane y = lam z of the frame turned onto the
     direction, and the rotation back as in :func:`rotate_to`."""
@@ -170,7 +170,7 @@ def center_of_affine_curvature(frame: BlaschkeFrame, direction):
     extract the planar section jet, apply the planar curvature formula,
     and step 1/mu along the section's affine normal inside its plane.
     """
-    section, lam, back = _section_along(frame, direction)
+    section, lam, back = section_along(frame, direction)
     mu = affine_curvature(section)
     normal_2d = (-section.a3 / 3, coerce(1, frame.mode))
     # embed the (x, z) projection plane back into the section plane

@@ -22,6 +22,7 @@ from functools import lru_cache
 from .errors import DegeneratePairError
 from .frames import BlaschkeFrame, SurfaceModel, to_float_frame
 from .geometry import Plane3, direction_pair, plane_distance, unit_direction
+from .invariants import transon_plane
 from .jets import Jet4, LinearFormJet
 from .scalars import RATIONAL, coerce, zero
 
@@ -47,16 +48,8 @@ class LinearEquation:
     rhs: object
     mode: str
 
-    def value(self, point):
-        n1, n2, n3 = self.coeffs
-        x, y, z = point
-        return n1 * x + n2 * y + n3 * z - self.rhs
-
     def as_plane(self) -> Plane3:
         return Plane3(self.coeffs, self.rhs, self.mode)
-
-    def max_abs(self) -> float:
-        return max(abs(float(c)) for c in (*self.coeffs, self.rhs))
 
 
 def _dot(u, v):
@@ -155,22 +148,6 @@ def expand_mid_plane(frame: BlaschkeFrame) -> LinearFormJet:
     )
 
 
-def transon_form_jet(frame: BlaschkeFrame) -> LinearFormJet:
-    """The Transon form G evaluated on the pair difference (du, dv)."""
-    mode = frame.mode
-    half = coerce(1, mode) / 2
-    a, b = frame.a, frame.b
-    _, (u3, u2v, uv2, v3) = _pair_monomials(mode)
-    cubic = u3.scaled(a) - uv2.scaled(3 * a) + v3.scaled(b) \
-        - u2v.scaled(3 * b)
-    return LinearFormJet(
-        cx=(u3 + uv2).scaled(half),
-        cy=(u2v + v3).scaled(half),
-        cz=cubic,
-        c1=Jet4.zero(_ORDER, mode),
-    )
-
-
 @dataclass(frozen=True)
 class DirectionalForm:
     """Affine-in-X form whose coefficients are cubics in a direction.
@@ -220,6 +197,24 @@ class DirectionalForm:
         )
 
 
+def transon_form(frame: BlaschkeFrame) -> DirectionalForm:
+    """The Transon form G, whose value at (xi, eta) is the plane
+    (xi^2+eta^2)/2 (xi x + eta y) + f3(xi, eta) z = 0 of
+    :func:`~aek.invariants.transon_plane`; on the pair difference it is
+    the cubic term of the mid-plane expansion."""
+    mode = frame.mode
+    a, b = frame.a, frame.b
+    half = coerce(1, mode) / 2
+    z = zero(mode)
+    return DirectionalForm(
+        coeff_x=(half, z, half, z),
+        coeff_y=(z, half, z, half),
+        coeff_z=(a, -3 * b, -3 * a, b),
+        coeff_0=(z, z, z, z),
+        mode=mode,
+    )
+
+
 def pair_sum_forms(frame: BlaschkeFrame):
     """The two forms multiplying (u1+u2) and (v1+v2) in the order-4
     part of the mid-plane expansion."""
@@ -251,7 +246,6 @@ class ExpansionReport:
 
     max_abs_residual: float
     exact: bool
-    degree: int
 
     @property
     def passed(self) -> bool:
@@ -267,14 +261,14 @@ def _residual_report(diff: LinearFormJet, degrees) -> ExpansionReport:
     for d in degrees:
         worst = max(worst, max(s[d][0] for s in sizes))
         exact = exact and all(s[d][1] for s in sizes)
-    return ExpansionReport(worst, exact and diff.mode == RATIONAL, max(degrees))
+    return ExpansionReport(worst, exact and diff.mode == RATIONAL)
 
 
 def check_cubic_term(frame: BlaschkeFrame,
                      expansion: LinearFormJet) -> ExpansionReport:
     """The frame's mid-plane ``expansion`` agrees with the Transon form
     through total degree 3 (exactly, in rational mode)."""
-    diff = expansion - transon_form_jet(frame)
+    diff = expansion - transon_form(frame).as_jet()
     return _residual_report(diff, (0, 1, 2, 3))
 
 
@@ -336,8 +330,6 @@ def midplane_limit_probe(frame: BlaschkeFrame, direction, t_values) -> ProbeRepo
     Pairs are centered on the base point so the pair-sum terms vanish
     and the cubic-order convergence is measured cleanly.
     """
-    from .invariants import transon_plane
-
     xi, eta = unit_direction(direction_pair(direction))
     frame_f = to_float_frame(frame)
     target = transon_plane(frame_f, (xi, eta)).to_float()

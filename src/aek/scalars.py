@@ -92,10 +92,3 @@ def sqrt_scalar(value, mode: str):
     if value < 0:
         raise ValueError("square root of a negative value")
     return math.sqrt(value)
-
-
-def format_scalar(value) -> str:
-    """Serialize for reports: ``p/q`` for Fractions, repr for floats."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return repr(float(value))

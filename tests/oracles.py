@@ -12,8 +12,8 @@ the recentering term by term and the dense rational ring rules.  A few
 helpers that only tests need live here too: the jet truncation, the
 graded parts of a jet and of a linear form, the inverse of an affine
 map and the push-forward of a frame, a surface without the load-time
-convexity screen, and the five envelope conditions at a pair with the
-probe of their limits.
+convexity screen, the values of equations and quadrics at a point, and
+the five envelope conditions at a pair with the probe of their limits.
 """
 
 from __future__ import annotations
@@ -593,6 +593,25 @@ def unscreened_surface(coeffs: dict, patch, mode: str) -> SurfaceModel:
                         check_convexity=False)
 
 
+def equation_value(eq: LinearEquation, point):
+    """coeffs . X - rhs at a space point X."""
+    n1, n2, n3 = eq.coeffs
+    x, y, z = point
+    return n1 * x + n2 * y + n3 * z - eq.rhs
+
+
+def equation_scale(eq: LinearEquation) -> float:
+    """The largest |entry| of an equation's coefficients and rhs."""
+    return max(abs(float(c)) for c in (*eq.coeffs, eq.rhs))
+
+
+def quadric_value(q: Quadric3, point):
+    """[X;1]^T Q [X;1] at a space point X."""
+    xh = (*point, 1)
+    return sum(xh[i] * sum(q.matrix[i][j] * xh[j] for j in range(4))
+               for i in range(4))
+
+
 # ---------------------------------------------------------------------------
 # envelope rows near the collapse
 
@@ -655,7 +674,7 @@ def envelope_system(target, pair) -> EnvelopeSystem:
 
 def _equation_distance(e1: LinearEquation, e2: LinearEquation) -> float:
     """Scale-free gap between two affine conditions (see plane_distance)."""
-    if e1.max_abs() == 0.0 and e2.max_abs() == 0.0:
+    if equation_scale(e1) == 0.0 and equation_scale(e2) == 0.0:
         return 0.0
     return plane_distance(e1.as_plane(), e2.as_plane())
 

@@ -305,6 +305,19 @@ def test_normalize_sphere_reports_eighth(capsys):
         1 / 8, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("rational", "point (2, 1/3) outside patch (-1, 1, -1, 1)"),
+    ("float", "point (2.0, 0.3333333333333333) outside patch "
+              "(-1.0, 1.0, -1.0, 1.0)"),
+], ids=["rational", "float"])
+def test_point_outside_patch_prints_its_coordinates(capsys, mode, message):
+    code, _, err = run_cli(capsys, "normalize", "--spec",
+                           str(SPECS / "paraboloid.json"), "--mode", mode,
+                           "--point", "2,1/3")
+    assert code == 2
+    assert err == f"geometry error: {message}\n"
+
+
 def test_normalize_hyperbolic_exit_2(tmp_path, capsys):
     path = write_spec(tmp_path, "hyp.json", {
         "coefficients": {"2,0": 1, "0,2": -1}, "patch": [-1, 1, -1, 1],
@@ -389,6 +402,26 @@ def test_verify_float_mode_warns(tmp_path, capsys):
                            "--point", "0,0")
     assert code == 0
     assert "warning" in err
+
+
+def test_verify_checks_its_point_before_the_random_checks(
+        tmp_path, capsys, monkeypatch):
+    """A point outside the patch, or a spec that is not convex, exits 2
+    before any random frame is drawn."""
+    def no_random_checks(*args, **kwargs):
+        raise AssertionError("a random check ran")
+
+    monkeypatch.setattr(cli, "random_frame", no_random_checks)
+    code, _, err = run_cli(capsys, "verify", "--spec",
+                           paraboloid_spec(tmp_path), "--point", "2,0")
+    assert code == 2
+    assert "outside patch" in err
+    saddle = write_spec(tmp_path, "saddle.json", {
+        "coefficients": {"2,0": 1, "0,2": -1}, "patch": [-1, 1, -1, 1],
+    })
+    code, _, err = run_cli(capsys, "verify", "--spec", saddle)
+    assert code == 2
+    assert "positive definite" in err
 
 
 def test_verify_detects_corrupted_form(tmp_path, capsys, monkeypatch):

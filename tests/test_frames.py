@@ -30,7 +30,7 @@ from aek.frames import (
     to_float_frame,
     turned_coefficients,
 )
-from aek.geometry import Plane3
+from aek.geometry import AtInfinity, Plane3
 from aek.invariants import moutard_center
 from aek.jets import Jet2, substitute
 from aek.scalars import FLOAT, RATIONAL
@@ -556,6 +556,24 @@ def test_moutard_center_world_is_map_covariant():
         want = amap.apply_point(center)
         assert max(abs(p - q) for p, q in zip(c2, want)) < 1e-9 * max(
             1.0, max(abs(q) for q in want))
+
+
+def test_pull_back_moves_points_at_infinity_as_directions():
+    """A center at infinity pulls back as its direction does, exactly,
+    through frames whose maps recenter, scale, shear and rotate."""
+    s = surface({(1, 0): "1/3", (0, 1): "-1/4", (2, 0): 2, (0, 2): "9/2",
+                 (3, 0): "1/5", (1, 2): "-2/7", (0, 4): "1/9"})
+    frames = [normalize_at(s, (0, 0))]
+    frames += [rotate_frame(frames[0], pair) for pair in
+               ((Fraction(3, 5), Fraction(4, 5)),
+                (Fraction(-5, 13), Fraction(12, 13)))]
+    rng = random.Random(9)
+    for fr in frames:
+        for _ in range(10):
+            d = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                      for _ in range(3))
+            assert pull_back(fr, AtInfinity(d)) == \
+                AtInfinity(pull_back_direction(fr, d))
 
 
 def test_rational_roundtrip_exact():

@@ -9,6 +9,7 @@ from aek.frames import (
     SurfaceModel, frame_from_coefficients, random_frame, to_float_frame,
 )
 from aek.geometry import Plane3, plane_distance
+from aek.invariants import transon_plane
 from aek.jets import Jet4
 from aek.midplanes import (
     check_cubic_term,
@@ -17,13 +18,15 @@ from aek.midplanes import (
     mid_plane,
     mid_plane_equation,
     midplane_limit_probe,
-    transon_form_jet,
+    transon_form,
 )
 from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
     envelope_limit_probe,
     envelope_system,
+    equation_scale,
+    equation_value,
     evaluate_midplane_exact,
     form_graded_part,
     fraction_gauss_solve,
@@ -73,15 +76,15 @@ def test_sphere_pair_contains_center_and_midpoint():
         if math.hypot(p1[0] - p2[0], p1[1] - p2[1]) < 1e-3:
             continue
         eq = mid_plane_equation(s, (p1, p2))
-        scale = eq.max_abs()
+        scale = equation_scale(eq)
         # geometric oracle: both tangent planes are equidistant from the
         # sphere center, so the center lies on the mid-plane
-        assert abs(eq.value((0, 0, 1))) < 1e-9 * scale
+        assert abs(equation_value(eq, (0, 0, 1))) < 1e-9 * scale
         m = tuple(
             (a + b) / 2
             for a, b in zip((*p1, s.value(p1)), (*p2, s.value(p2)))
         )
-        assert abs(eq.value(m)) < 1e-12 * scale
+        assert abs(equation_value(eq, m)) < 1e-12 * scale
 
 
 def test_midplane_contains_midpoint_generally():
@@ -101,7 +104,8 @@ def test_midplane_contains_midpoint_generally():
                 (p2[0], p2[1], f.evaluate(p2)),
             )
         )
-        assert abs(eq.value(m)) < 1e-12 * max(eq.max_abs(), 1e-30)
+        assert abs(equation_value(eq, m)) < 1e-12 * max(
+            equation_scale(eq), 1e-30)
 
 
 def test_midplane_contains_tangent_intersection_line():
@@ -139,10 +143,10 @@ def test_midplane_contains_tangent_intersection_line():
         b = np.array([d1, d2, 0.0])
         point = np.linalg.solve(a, b)
         eq = mid_plane_equation(fr, (p1, p2))
-        scale = max(eq.max_abs(), 1e-30)
+        scale = max(equation_scale(eq), 1e-30)
         for lam in (0.0, 0.7):
             q = point + lam * np.array(direction)
-            assert abs(eq.value(tuple(q))) < 1e-10 * scale * max(
+            assert abs(equation_value(eq, tuple(q))) < 1e-10 * scale * max(
                 1.0, float(np.linalg.norm(q)))
         checked += 1
 
@@ -176,7 +180,7 @@ def test_rows_match_finite_differences():
 
     def f_value(u1, v1, u2, v2):
         eq = mid_plane_equation(fr, ((u1, v1), (u2, v2)))
-        return eq.value(x_probe)
+        return equation_value(eq, x_probe)
 
     args = [pair[0][0], pair[0][1], pair[1][0], pair[1][1]]
 
@@ -199,7 +203,7 @@ def test_rows_match_finite_differences():
         partials[1] + partials[3],
     ]
     for row, want in zip(system.rows[1:], expected):
-        assert row.value(x_probe) == pytest.approx(want, abs=1e-8)
+        assert equation_value(row, x_probe) == pytest.approx(want, abs=1e-8)
 
 
 def test_rows_are_exact_derivatives():
@@ -404,9 +408,26 @@ def test_quartic_term_check_float():
 def test_transon_form_jet_is_graded_cubic():
     fr = frame_from_coefficients(Fraction(1, 4), Fraction(-2, 7),
                                  mode=RATIONAL)
-    g = transon_form_jet(fr)
+    g = transon_form(fr).as_jet()
     assert form_graded_part(g, 3).cx == g.cx
     assert not g.c1.nonzero_slots()
+
+
+def test_transon_form_at_a_direction_is_the_transon_plane():
+    """The form and :func:`transon_plane` are two encodings of one
+    plane: on rational frames they agree exactly, covector and
+    offset."""
+    rng = random.Random(19)
+    for _ in range(30):
+        fr = random_frame(rng, RATIONAL)
+        xi = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        eta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if not xi and not eta:
+            continue
+        eq = transon_form(fr).at_direction(xi, eta)
+        plane = transon_plane(fr, (xi, eta))
+        assert eq.coeffs == plane.normal
+        assert eq.rhs == plane.offset
 
 
 # ---------------------------------------------------------------------------
