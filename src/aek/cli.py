@@ -422,12 +422,16 @@ def _verify_checks(spec: SurfaceSpec, point, seed: int) -> list[dict]:
         if not best.simple:
             continue
         try:
-            sol = solve_evolute_point(fr, best.theta)
+            x = solve_evolute_point(fr, best.theta)
         except AekError:
             continue
-        if sol.moutard_gap is None:
+        # the solve's center is at infinity only where this one is
+        mc = moutard_center(fr, (math.cos(best.theta), math.sin(best.theta)))
+        if isinstance(mc, AtInfinity):
             continue
-        env_worst = max(env_worst, sol.moutard_gap)
+        scale = max(1.0, max(abs(c) for c in mc))
+        env_worst = max(env_worst,
+                        max(abs(p - q) for p, q in zip(x, mc)) / scale)
         count += 1
     add("envelope-center-match", env_worst < 1e-10,
         {"max_relative_gap": env_worst})

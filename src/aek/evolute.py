@@ -6,9 +6,10 @@ gradients and the two pair-sum forms; the Transon form itself is a
 combination of its gradients and is discarded).  The system is
 solvable exactly when the direction is a root of a homogeneous sextic
 q; the solution, when finite, is the Moutard center of the direction.
-This module finds the roots, solves the centers, continues them over a
-patch, and flags the points where the sufficient regularity condition
-holds.
+This module finds the roots, takes each center from the Moutard closed
+form (the envelope solve stays as an independent route), continues
+them over a patch, and flags the points where the sufficient
+regularity condition holds.
 """
 
 from __future__ import annotations
@@ -231,48 +232,38 @@ def evolute_directions(frame: BlaschkeFrame) -> DirectionRoots:
 
 @dataclass(frozen=True)
 class EvoluteSolution:
-    """A solved envelope-limit point for one direction.
+    """The evolute point of one root direction at a sample.
 
-    ``residuals`` holds all four equation residuals at the solved
-    point; ``dropped_index`` names the equation left out of the 3x3
-    solve, whose residual is reported rather than hidden.  ``regular``
-    is :func:`regularity_rule` at the point, set by
-    :func:`compute_sample` when it sampled Pick rates, else None.
+    ``center_world`` is the Moutard center of the direction, pulled
+    back to the world chart (an :class:`AtInfinity` when the quadric is
+    a paraboloid); ``d_value`` is the envelope-limit determinant,
+    (3/32) q(theta) at the unit direction.  ``regular`` is
+    :func:`regularity_rule` at the point, set by :func:`compute_sample`
+    when it sampled Pick rates, else None.
     """
 
     theta: float
-    center_local: object
     center_world: object
-    residuals: tuple | None
-    dropped_index: int | None
     d_value: float
     simple_root: bool
     mu_prime: float
-    moutard_gap: float | None
     regular: bool | None = None
 
 
-def solve_evolute_point(frame: BlaschkeFrame, theta: float) -> EvoluteSolution:
-    """Solve the envelope-limit system at a root direction.
+def solve_evolute_point(frame: BlaschkeFrame, theta: float):
+    """The local center solved from the envelope-limit system at a root
+    direction: a 3-tuple, or the Moutard center's :class:`AtInfinity`.
 
     The Transon form itself is discarded (it is a combination of its
     gradients); of the remaining four conditions the best-conditioned
-    three are solved and the fourth residual recorded.  The result is
-    cross-checked against the Moutard center, which it must equal.
-    Where the four conditions have rank below 3, the center is at
-    infinity exactly when the Moutard center is, along its direction;
-    otherwise :class:`RankDeficientError` is raised.
+    three are solved.  This is the route independent of
+    :func:`moutard_center`, which :func:`compute_sample` uses and the
+    paper proves equal.  Where the four conditions have rank below 3,
+    the center is at infinity exactly when the Moutard center is, along
+    its direction; otherwise :class:`RankDeficientError` is raised.
     """
     fr = to_float_frame(frame)
     sextic = direction_sextic(fr)
-    return _solve_at_root(fr, sextic, sextic.root(theta), pair_sum_forms(fr))
-
-
-def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
-                   root: DirectionRoot, forms) -> EvoluteSolution:
-    """:func:`solve_evolute_point` on the float frame ``fr``, given its
-    sextic, the root of the sextic and the frame's pair-sum forms."""
-    theta = root.theta
     if not sextic.is_root(theta):
         raise NoSolutionError(
             f"direction {theta:.6f} is not a root: "
@@ -280,7 +271,7 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
             f"(scale {sextic.scale():.3e})"
         )
     xi, eta = math.cos(theta), math.sin(theta)
-    rows = _limit_rows(fr, xi, eta, forms)
+    rows = _limit_rows(fr, xi, eta, pair_sum_forms(fr))
     row_scale = max(abs(c) for cov, rhs in rows for c in (*cov, rhs))
     mat = [cov for cov, _ in rows]
     rhs = [r for _, r in rows]
@@ -292,41 +283,15 @@ def _solve_at_root(fr: BlaschkeFrame, sextic: DirectionSextic,
         if abs(dval) > abs(best_det):
             best_det, best_drop = dval, drop
 
-    d_value = float(det4(tuple((*cov, r) for cov, r in rows)))
-    simple = root.simple
-    mu_prime = section_curvature_rate(fr, (xi, eta))
-    mc = moutard_center(fr, (xi, eta))
-
     if abs(best_det) <= 1e-12 * max(row_scale, 1.0) ** 3:
+        mc = moutard_center(fr, (xi, eta))
         if not isinstance(mc, AtInfinity):
             raise RankDeficientError(
                 f"envelope-limit matrix rank below 3 at theta={theta:.6f}"
             )
-        return EvoluteSolution(
-            theta=theta, center_local=mc,
-            center_world=pull_back(fr, mc),
-            residuals=None, dropped_index=None,
-            d_value=d_value, simple_root=simple,
-            mu_prime=mu_prime, moutard_gap=None,
-        )
-
+        return mc
     keep_idx = [i for i in range(4) if i != best_drop]
-    x = solve3([mat[i] for i in keep_idx], [rhs[i] for i in keep_idx])
-    residuals = tuple(
-        abs(sum(mat[i][j] * x[j] for j in range(3)) - rhs[i])
-        for i in range(4)
-    )
-    gap = None
-    if not isinstance(mc, AtInfinity):
-        denom = max(1.0, max(abs(c) for c in mc))
-        gap = max(abs(p - q) for p, q in zip(x, mc)) / denom
-    return EvoluteSolution(
-        theta=theta, center_local=x,
-        center_world=pull_back(fr, x),
-        residuals=residuals, dropped_index=best_drop,
-        d_value=d_value, simple_root=simple,
-        mu_prime=mu_prime, moutard_gap=gap,
-    )
+    return solve3([mat[i] for i in keep_idx], [rhs[i] for i in keep_idx])
 
 
 def pick_invariant(frame: BlaschkeFrame):
@@ -460,15 +425,15 @@ class TraceResult:
 
 def compute_sample(surface: SurfaceModel, index, point,
                    pick_directions: int = 0) -> SamplePoint:
-    """Normalize, find root directions and solve centers at one point.
+    """Normalize, find root directions and take their centers at one point.
 
-    With ``pick_directions`` > 0, the rate of the Pick norm |kappa| is
-    sampled along that many chart directions, and every solution gets
-    its ``regular`` flag from those rates.  The float ``surface`` is
-    normalized at the point, and its sextic, roots and pair-sum forms
-    built, once; every root reuses them.  A root whose center solve
-    raises is left out and named in the message.  A float overflow
-    anywhere in the sample makes it an ``error`` sample.
+    Each root's center is its closed-form :func:`moutard_center`, the
+    limit of the mid-plane envelope.  With ``pick_directions`` > 0, the
+    rate of the Pick norm |kappa| is sampled along that many chart
+    directions, and every solution gets its ``regular`` flag from those
+    rates.  The float ``surface`` is normalized at the point, and its
+    sextic and roots found, once.  A float overflow anywhere in the
+    sample makes it an ``error`` sample.
     """
     try:
         frame = normalize_at(surface, point)
@@ -481,35 +446,35 @@ def compute_sample(surface: SurfaceModel, index, point,
         if pick_directions:
             rates = _pick_rates(surface, point, pick_directions)
         droots = evolute_directions(frame)
-        sols = []
-        messages = []
         if droots.identically_zero:
             status = "degenerate"
             mc = moutard_center(frame, (1.0, 0.0))
             if isinstance(mc, AtInfinity):
                 return SamplePoint(index, point, status,
                                    message="centers at infinity")
-            sols.append(EvoluteSolution(
-                theta=None, center_local=mc, center_world=pull_back(frame, mc),
-                residuals=None, dropped_index=None,
+            sols = [EvoluteSolution(
+                theta=None, center_world=pull_back(frame, mc),
                 d_value=0.0, simple_root=False,
                 mu_prime=float(section_curvature_rate(frame, (1.0, 0.0))),
-                moutard_gap=None,
-            ))
+            )]
         else:
             status = "ok"
-            forms = pair_sum_forms(frame)
+            num, den = D_IDENTITY_CONSTANT
+            sols = []
             for root in droots.roots:
-                try:
-                    sols.append(_solve_at_root(frame, droots.sextic, root,
-                                               forms))
-                except (NoSolutionError, RankDeficientError) as exc:
-                    messages.append(f"theta={root.theta:.4f}: {exc}")
+                t = (math.cos(root.theta), math.sin(root.theta))
+                sols.append(EvoluteSolution(
+                    theta=root.theta,
+                    center_world=pull_back(frame, moutard_center(frame, t)),
+                    d_value=droots.sextic.theta_value(root.theta) * num / den,
+                    simple_root=root.simple,
+                    mu_prime=section_curvature_rate(frame, t),
+                ))
         if rates is not None:
             sols = [replace(sol, regular=regularity_rule(
                         sol.simple_root, sol.mu_prime, rates))
                     for sol in sols]
-        return SamplePoint(index, point, status, sols, "; ".join(messages))
+        return SamplePoint(index, point, status, sols)
     except OverflowError as exc:
         return SamplePoint(index, point, "error",
                            message=f"float overflow: {exc}")
@@ -533,9 +498,7 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
     Grid samples are independent (and parallelizable); branches are
     labelled afterwards by :func:`_label_branches`, each a connected
     sheet with one sample per grid point.  Per-sample failures are
-    collected, never fatal: the ``non_convex`` and ``error`` samples,
-    and the ``ok`` samples whose message names a root the center solve
-    refused.
+    collected, never fatal: the ``non_convex`` and ``error`` samples.
     """
     surface = surface.to_float()
     us, vs = grid_points(surface.patch, (grid, grid)
@@ -549,7 +512,6 @@ def trace_evolute(surface: SurfaceModel, grid=(41, 41),
     failures = [
         (s.index, s.point, s.status, s.message)
         for s in samples if s.status in ("non_convex", "error")
-        or (s.status == "ok" and s.message)
     ]
     return TraceResult(_label_branches(samples), samples, failures, ran_on)
 

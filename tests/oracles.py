@@ -12,8 +12,10 @@ the recentering term by term and the dense rational ring rules.  A few
 helpers that only tests need live here too: the jet truncation, the
 graded parts of a jet and of a linear form, the inverse of an affine
 map and the push-forward of a frame, a surface without the load-time
-convexity screen, the values of equations and quadrics at a point, and
-the five envelope conditions at a pair with the probe of their limits.
+convexity screen, the values of equations and quadrics at a point, the
+five envelope conditions at a pair with the probe of their limits, and
+the four limit conditions at a direction with their residuals and gap
+at a solved center.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from aek.frames import (
     to_float_frame,
 )
 from aek.geometry import (
+    AtInfinity,
     Plane3,
     Quadric3,
     direction_pair,
     plane_distance,
     unit_direction,
 )
-from aek.invariants import SectionJet
+from aek.invariants import SectionJet, moutard_center, transon_gradients
 from aek.jets import (
     Jet2, Jet4, LinearFormJet, _exponents, _pair_table, substitute,
 )
@@ -90,6 +93,22 @@ def sphere_surface(patch=(-0.05, 0.05, -0.05, 0.05), mode=FLOAT,
     return SurfaceModel.from_coefficients(
         sphere_coefficients(degree, as_float=(mode == FLOAT)), patch, mode
     )
+
+
+def turned_graph_coefficients(coeffs: dict, phi: float) -> dict:
+    """Spec coefficients of p(c u + s v, -s u + c v): the graph turned by
+    phi."""
+    c, s = math.cos(phi), math.sin(phi)
+    out = {}
+    for key, coef in coeffs.items():
+        i, j = (int(p) for p in key.split(","))
+        for k in range(i + 1):
+            for m in range(j + 1):
+                e = f"{i - k + j - m},{k + m}"
+                out[e] = out.get(e, 0.0) + (
+                    coef * math.comb(i, k) * math.comb(j, m)
+                    * c ** (i - k) * s ** k * (-s) ** (j - m) * c ** m)
+    return out
 
 
 #: exact unit directions for rational-mode rotation paths
@@ -684,6 +703,39 @@ def _scaled_equation(eq: LinearEquation, factor) -> LinearEquation:
                           factor * eq.rhs, eq.mode)
 
 
+def envelope_limit_rows(frame: BlaschkeFrame, direction) -> tuple:
+    """The four envelope-limit conditions at a unit direction of a float
+    frame, as equations: the two Transon gradients (right-hand side 0)
+    and the two pair-sum forms, in the row order of ``discriminant_D``."""
+    xi, eta = direction
+    g_xi, g_eta = transon_gradients(frame, (xi, eta))
+    form_u, form_v = pair_sum_forms(frame)
+    return (LinearEquation(g_xi, 0.0, FLOAT),
+            LinearEquation(g_eta, 0.0, FLOAT),
+            form_u.at_direction(xi, eta), form_v.at_direction(xi, eta))
+
+
+def limit_residuals(frame: BlaschkeFrame, theta: float, center) -> tuple:
+    """|row value| of each envelope-limit condition at theta, at a local
+    ``center``."""
+    fr = to_float_frame(frame)
+    return tuple(abs(equation_value(eq, center)) for eq in
+                 envelope_limit_rows(fr, (math.cos(theta), math.sin(theta))))
+
+
+def moutard_gap(frame: BlaschkeFrame, theta: float, center):
+    """Largest component gap of a local ``center`` from the Moutard
+    center at theta, over max(1, the Moutard center's largest
+    component); None when the Moutard center is at infinity.  The
+    formula of ``aek verify``'s envelope-center-match check."""
+    fr = to_float_frame(frame)
+    mc = moutard_center(fr, (math.cos(theta), math.sin(theta)))
+    if isinstance(mc, AtInfinity):
+        return None
+    scale = max(1.0, max(abs(c) for c in mc))
+    return max(abs(p - q) for p, q in zip(center, mc)) / scale
+
+
 def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values) -> tuple:
     """The fitted convergence order of each scaled envelope row toward
     its limit form.
@@ -693,18 +745,10 @@ def envelope_limit_probe(frame: BlaschkeFrame, direction, t_values) -> tuple:
     twice the Transon gradients; rows 4-5 scale by t^3 toward twice
     the pair-sum forms.
     """
-    from aek.invariants import transon_gradients
-
     xi, eta = unit_direction(direction_pair(direction))
     frame_f = to_float_frame(frame)
-    g_xi, g_eta = transon_gradients(frame_f, (xi, eta))
-    form_u, form_v = pair_sum_forms(frame_f)
-    targets = [
-        LinearEquation(tuple(2 * c for c in g_xi), 0.0, FLOAT),
-        LinearEquation(tuple(2 * c for c in g_eta), 0.0, FLOAT),
-        _scaled_equation(form_u.at_direction(xi, eta), 2),
-        _scaled_equation(form_v.at_direction(xi, eta), 2),
-    ]
+    targets = [_scaled_equation(eq, 2)
+               for eq in envelope_limit_rows(frame_f, (xi, eta))]
     distances = [[] for _ in range(4)]
     for t in t_values:
         t = float(t)

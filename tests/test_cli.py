@@ -16,6 +16,8 @@ import aek.cli as cli
 import aek.midplanes as midplanes
 from aek.cli import load_spec
 
+from oracles import turned_graph_coefficients
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 #: JSON schema of the report envelope every command writes
@@ -504,21 +506,6 @@ def test_evolute_six_branches_at_center(tmp_path, capsys):
         assert th == pytest.approx(k * math.pi / 6, abs=1e-8)
 
 
-def _turned_coefficients(coeffs: dict, phi: float) -> dict:
-    """Coefficients of p(c u + s v, -s u + c v): the graph turned by phi."""
-    c, s = math.cos(phi), math.sin(phi)
-    out = {}
-    for key, coef in coeffs.items():
-        i, j = (int(p) for p in key.split(","))
-        for k in range(i + 1):
-            for m in range(j + 1):
-                e = f"{i - k + j - m},{k + m}"
-                out[e] = out.get(e, 0.0) + (
-                    coef * math.comb(i, k) * math.comb(j, m)
-                    * c ** (i - k) * s ** k * (-s) ** (j - m) * c ** m)
-    return out
-
-
 @pytest.mark.parametrize("phi", [0.0, 0.77])
 def test_evolute_branches_are_sheets(tmp_path, capsys, phi):
     """On cubic_six, turned or not, each branch is a sheet: one CSV row
@@ -526,7 +513,8 @@ def test_evolute_branches_are_sheets(tmp_path, capsys, phi):
     per branch and grid point, faces within a branch, and one event
     line per (branch, kind, other branch)."""
     spec = json.loads((SPECS / "cubic_six.json").read_text())
-    spec["coefficients"] = _turned_coefficients(spec["coefficients"], phi)
+    spec["coefficients"] = turned_graph_coefficients(spec["coefficients"],
+                                                    phi)
     path = write_spec(tmp_path, "turned.json", spec)
     code, out, _ = run_cli(capsys, "evolute", "--spec", path, "--grid", "21",
                            "--out", str(tmp_path), "--workers", "1")
@@ -727,9 +715,8 @@ _TINY_HESSIAN = {"2,0": 5e-151, "0,2": 5e-151, "4,0": 1e10}
 
 
 @pytest.mark.parametrize("mode, coefficients, overflowed", [
-    # the center solve's row scale overflows when cubed; the frames of
-    # the column u = 0 overflow
-    ("float", _HUGE_FLOAT, [[0, 1], [1, 0], [1, 1], [1, 2], [2, 1]]),
+    # the frames of the column u = 0 overflow
+    ("float", _HUGE_FLOAT, [[1, 0], [1, 1], [1, 2]]),
     # the sextic's coefficient scale overflows when squared
     ("rational", _HUGE_RATIONAL, [[1, 0], [1, 1], [1, 2]]),
     # the frames of the column u = 0 overflow in the Hessian step
@@ -739,8 +726,7 @@ def test_evolute_records_float_overflow(tmp_path, capsys, mode,
                                         coefficients, overflowed):
     """A sample whose float arithmetic overflows ends as an ``error``
     failure, not as a traceback or a degenerate sample, and the run
-    goes on.  The other failures are ``ok`` samples that name a root
-    the center solve refused."""
+    goes on.  Every failure is such an ``error`` sample."""
     path = write_spec(tmp_path, "huge.json", {
         "coefficients": coefficients, "patch": [-1, 1, -1, 1], "mode": mode,
     })
@@ -751,20 +737,17 @@ def test_evolute_records_float_overflow(tmp_path, capsys, mode,
     failed = {tuple(f["index"]): f for f in results["failures"]}
     assert [list(i) for i, f in sorted(failed.items())
             if "float overflow" in f["message"]] == overflowed
-    errors = [f for f in failed.values() if f["status"] != "ok"]
-    assert all(f["status"] == "error" for f in errors)
-    assert all("rank below 3" in f["message"]
-               for f in failed.values() if f["status"] == "ok")
+    assert all(f["status"] == "error" for f in failed.values())
     assert (results["samples_ok"] + results["samples_degenerate"]
-            + len(errors)) == results["samples"] == 9
+            + len(failed)) == results["samples"] == 9
 
 
-def test_refused_roots_are_listed_as_failures(tmp_path, capsys):
-    """An ``ok`` sample that drops a root because the center solve
-    refused it is listed among the failures with its status and
-    message, and the exit code stays 0.  On the column u = 0 of this
-    patch the four envelope-limit rows at theta = 0 have norms from 0.5
-    to 1.5e17, and the solve's rank test reads them as rank below 3."""
+def test_roots_of_unequal_row_scales_get_their_centers(tmp_path, capsys):
+    """On the column u = 0 of this patch the four envelope-limit rows at
+    theta = 0 have norms from 0.5 to 1.5e17, which a rank test against
+    the largest entry read as rank below 3.  The centers come from the
+    Moutard closed form, so each of the five roots writes its row, no
+    sample is a failure, and the exit code stays 0."""
     path = write_spec(tmp_path, "small.json", {
         "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1e8, "4,0": 1e17},
         "patch": [-1, 1, -1, 1], "mode": "float",
@@ -774,11 +757,10 @@ def test_refused_roots_are_listed_as_failures(tmp_path, capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["samples_ok"] == 25
-    message = ("theta=0.0000: envelope-limit matrix rank below 3 at "
-               "theta=0.000000")
-    assert [(f["index"], f["status"], f["message"])
-            for f in results["failures"]] == [
-        ([2, j], "ok", message) for j in range(5)]
+    assert results["failures"] == []
+    lines = (tmp_path / "evolute_points.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [
+        ["0.0", v, "0", "0.0"] for v in ("-1.0", "-0.5", "0.0", "0.5", "1.0")]
 
 
 def test_invariants_float_overflow_exit_2(tmp_path, capsys):

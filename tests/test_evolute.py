@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -18,6 +19,7 @@ from aek.frames import (
     SurfaceModel,
     frame_from_coefficients,
     normalize_at,
+    pull_back,
     pull_back_direction,
     random_frame,
     rotate_frame,
@@ -47,8 +49,11 @@ from aek.scalars import FLOAT, RATIONAL
 
 from oracles import (
     PYTHAGOREAN_DIRECTIONS,
+    limit_residuals,
+    moutard_gap,
     pick_invariant_rate,
     sphere_surface,
+    turned_graph_coefficients,
     unscreened_surface,
 )
 
@@ -441,15 +446,13 @@ def test_cubic_six_counts_with_roots_on_the_axes():
 
 def test_solve_pure_cubic_closed_form():
     a = Fraction(1, 2)
-    sol = solve_evolute_point(cubic_frame(a), 0.0)
+    fr = cubic_frame(a)
+    center = solve_evolute_point(fr, 0.0)
     want = (1 / (10 * a), 0, -1 / (20 * a * a))
-    assert sol.center_local == pytest.approx(tuple(float(c) for c in want),
-                                             abs=1e-14)
-    assert sol.residuals is not None
-    assert max(sol.residuals) < 1e-14
-    assert sol.dropped_index is not None
-    assert sol.moutard_gap < 1e-14
-    assert sol.simple_root
+    assert center == pytest.approx(tuple(float(c) for c in want), abs=1e-14)
+    assert max(limit_residuals(fr, 0.0, center)) < 1e-14
+    assert moutard_gap(fr, 0.0, center) < 1e-14
+    assert direction_sextic(fr).root(0.0).simple
 
 
 def test_solve_rejects_non_root():
@@ -506,26 +509,25 @@ def test_center_at_infinity_is_the_moutard_direction(make_frame, theta):
     """A root whose center is at infinity reports the Moutard center's
     direction, pulled back to the world chart."""
     fr = to_float_frame(make_frame())
-    sol = solve_evolute_point(fr, theta)
+    center = solve_evolute_point(fr, theta)
     mc = moutard_center(fr, (math.cos(theta), math.sin(theta)))
     assert isinstance(mc, AtInfinity)
-    assert sol.center_local.direction == mc.direction
-    assert (sol.center_world.direction
+    assert center.direction == mc.direction
+    assert (pull_back(fr, center).direction
             == pull_back_direction(fr, mc.direction))
 
 
 def test_solve_sphere_any_direction():
     for theta in (0.0, 0.7, 1.9, 2.8):
-        sol = solve_evolute_point(sphere_frame(), theta)
-        assert sol.center_local == pytest.approx((0, 0, 1), abs=1e-12)
+        center = solve_evolute_point(sphere_frame(), theta)
+        assert center == pytest.approx((0, 0, 1), abs=1e-12)
 
 
 def test_solve_paraboloid_at_infinity():
-    sol = solve_evolute_point(
-        frame_from_coefficients(0, 0, mode=RATIONAL), 0.3
-    )
-    assert isinstance(sol.center_local, AtInfinity)
-    assert isinstance(sol.center_world, AtInfinity)
+    fr = frame_from_coefficients(0, 0, mode=RATIONAL)
+    center = solve_evolute_point(fr, 0.3)
+    assert isinstance(center, AtInfinity)
+    assert isinstance(pull_back(fr, center), AtInfinity)
 
 
 def test_solutions_match_moutard_center_sweep():
@@ -540,14 +542,15 @@ def test_solutions_match_moutard_center_sweep():
         if not best.simple:
             continue
         try:
-            sol = solve_evolute_point(fr, best.theta)
+            center = solve_evolute_point(fr, best.theta)
         except Exception:
             continue
-        if sol.moutard_gap is None:
+        gap = moutard_gap(fr, best.theta, center)
+        if gap is None:
             continue
-        assert sol.moutard_gap < 1e-10
-        scale = max(1.0, max(abs(c) for c in sol.center_local))
-        assert max(sol.residuals) < 1e-10 * scale
+        assert gap < 1e-10
+        scale = max(1.0, max(abs(c) for c in center))
+        assert max(limit_residuals(fr, best.theta, center)) < 1e-10 * scale
         checked += 1
 
 
@@ -578,8 +581,8 @@ def test_float_center_tracks_exact_moutard_center(theta, slot, direction):
         exact = moutard_center(fr, direction)
         if isinstance(exact, AtInfinity):
             continue
-        sol = solve_evolute_point(fr, theta)
-        assert _relative_gap(exact, sol.center_local) <= 1e-12
+        center = solve_evolute_point(fr, theta)
+        assert _relative_gap(exact, center) <= 1e-12
         float_center = moutard_center(to_float_frame(fr),
                                       tuple(map(float, direction)))
         assert _relative_gap(exact, float_center) <= 1e-12
@@ -851,8 +854,7 @@ def test_paraboloid_no_solution_upstream():
     )
     fr = normalize_at(s, (0.1, -0.2))
     assert evolute_directions(fr).identically_zero
-    sol = solve_evolute_point(fr, 0.0)
-    assert isinstance(sol.center_local, AtInfinity)
+    assert isinstance(solve_evolute_point(fr, 0.0), AtInfinity)
 
 
 # ---------------------------------------------------------------------------
@@ -903,9 +905,8 @@ def test_trace_collects_nonconvex_corner():
 
 def _root(theta, simple=True):
     return EvoluteSolution(
-        theta=theta, center_local=(0.0, 0.0, 0.0),
-        center_world=(0.0, 0.0, 0.0), residuals=None, dropped_index=None,
-        d_value=0.0, simple_root=simple, mu_prime=0.0, moutard_gap=None,
+        theta=theta, center_world=(0.0, 0.0, 0.0), d_value=0.0,
+        simple_root=simple, mu_prime=0.0,
     )
 
 
@@ -1073,27 +1074,62 @@ def test_compute_sample_builds_the_sextic_once(monkeypatch):
 
 
 def test_compute_sample_builds_each_root_once(monkeypatch):
-    """A sample takes dq/dtheta once per root and builds its pair-sum
-    forms once for all roots."""
+    """A sample takes dq/dtheta and the Moutard center once per root,
+    and builds no pair-sum forms: no root solves the envelope rows."""
     import aek.evolute as evolute
 
     s = build_surface(load_spec(str(SPECS / "cubic_six.json")))
-    calls = {"theta_derivative": 0, "pair_sum_forms": 0}
+    calls = {"theta_derivative": 0, "pair_sum_forms": 0, "moutard_center": 0}
 
-    def derivative(self, theta, _fn=evolute.DirectionSextic.theta_derivative):
-        calls["theta_derivative"] += 1
-        return _fn(self, theta)
-
-    def forms(frame, _fn=evolute.pair_sum_forms):
-        calls["pair_sum_forms"] += 1
-        return _fn(frame)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
     monkeypatch.setattr(evolute.DirectionSextic, "theta_derivative",
-                        derivative)
-    monkeypatch.setattr(evolute, "pair_sum_forms", forms)
+                        counting("theta_derivative",
+                                 evolute.DirectionSextic.theta_derivative))
+    for name in ("pair_sum_forms", "moutard_center"):
+        monkeypatch.setattr(evolute, name,
+                            counting(name, getattr(evolute, name)))
     sample = evolute.compute_sample(s.to_float(), (0, 0), (0.02, -0.01))
     assert sample.status == "ok" and len(sample.solutions) == 6
-    assert calls == {"theta_derivative": 6, "pair_sum_forms": 1}
+    assert calls == {"theta_derivative": 6, "pair_sum_forms": 0,
+                     "moutard_center": 6}
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.77])
+def test_sample_centers_are_the_envelope_solve(tmp_path, phi):
+    """At every root of cubic_six, turned by phi or not, on an 11 x 11
+    grid, the sample's closed-form center is the envelope solve's
+    center pulled back, to 1e-12 relative where the solve's center is
+    finite, and both routes put the same centers at infinity."""
+    spec = json.loads((SPECS / "cubic_six.json").read_text())
+    spec["coefficients"] = turned_graph_coefficients(spec["coefficients"],
+                                                     phi)
+    path = tmp_path / "turned.json"
+    path.write_text(json.dumps(spec))
+    surface = build_surface(load_spec(str(path))).to_float()
+    us, vs = grid_points(surface.patch, (11, 11))
+    finite = 0
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            sample = compute_sample(surface, (i, j), (u, v))
+            assert sample.status == "ok"
+            frame = normalize_at(surface, (u, v))
+            for sol in sample.solutions:
+                reference = pull_back(
+                    frame, solve_evolute_point(frame, sol.theta))
+                assert (isinstance(sol.center_world, AtInfinity)
+                        == isinstance(reference, AtInfinity))
+                if isinstance(reference, AtInfinity):
+                    continue
+                scale = max(abs(c) for c in reference)
+                assert max(abs(p - q) for p, q in
+                           zip(sol.center_world, reference)) <= 1e-12 * scale
+                finite += 1
+    assert finite >= 121 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -1104,8 +1140,8 @@ def _branch_center(surface, point, theta_near):
     frame = normalize_at(surface, point)
     roots = evolute_directions(frame)
     best = min(roots.roots, key=lambda r: angle_gap(r.theta, theta_near))
-    sol = solve_evolute_point(frame, best.theta)
-    return sol.center_world, best.theta
+    center = solve_evolute_point(frame, best.theta)
+    return pull_back(frame, center), best.theta
 
 
 def _branch_velocity(surface, p0, w, theta_near, h):
@@ -1154,8 +1190,7 @@ def _canonical_center(surface, ref_phase, point, theta_near):
     frk = rotate_frame(fr, (math.cos(psi), math.sin(psi)))
     roots = evolute_directions(frk)
     best = min(roots.roots, key=lambda r: angle_gap(r.theta, theta_near))
-    sol = solve_evolute_point(frk, best.theta)
-    x, y, z = sol.center_local
+    x, y, z = solve_evolute_point(frk, best.theta)
     m = det3(frk.world_from_local.linear) ** (-0.5)
     sm = math.sqrt(m)
     return (x / sm, y / sm, z / m), frk, m

@@ -98,3 +98,23 @@ def test_traced_verify_counts_the_expansion_checks(tmp_path):
     assert [spans[f"midplanes.{name}"][0] for name in (
         "expand_mid_plane", "check_cubic_term", "check_quartic_term")] \
         == [20, 20, 20]
+
+
+def test_traced_evolute_sees_the_per_root_work(tmp_path):
+    """A traced ``evolute`` takes one Moutard center and one section
+    curvature rate per root found, and the tracer sees every call."""
+    sidecar = tmp_path / "sidecar.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "launch.py"), str(sidecar),
+         "--trace", "--", "evolute",
+         "--spec", str(ROOT / "specs" / "cubic_six.json"),
+         "--grid", "5", "--workers", "1", "--out", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, timeout=300, check=False)
+    info = json.loads(sidecar.read_text())
+    assert info["exit_code"] == 0
+    spans, counts = info["trace"]["spans"], info["trace"]["counts"]
+    roots = counts["evolute.roots_found"]
+    assert roots > 0
+    assert [spans[name][0] for name in (
+        "invariants.moutard_center", "evolute.section_curvature_rate")] \
+        == [roots, roots]

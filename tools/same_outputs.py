@@ -49,8 +49,8 @@ SPECS = (
     ("cubic_six.json", "cubic_six.json", None),
     ("sphere.json", "sphere.json", None),
     ("cubic_six_turned.json", "cubic_six.json", 0.77),
-    # finite coefficients whose frames overflow floats, some of them in
-    # the center solve's rank test
+    # finite coefficients whose frames overflow floats on the column
+    # u = 0; at v = 0 off that column the centers sit at z = 1e300
     ("huge_float.json", {
         "coefficients": {"2,0": 0.5, "0,2": 0.5, "3,0": 1e160,
                          "4,0": 1e300, "0,4": 1e300},
