@@ -50,6 +50,8 @@ from .scalars import (
 _FORM_TOL = 1e-8
 #: the load-time convexity screen samples the cell centres of an n x n grid
 _SCREEN_GRID = 5
+#: the map of :meth:`AffineMap3.identity`, by mode
+_IDENTITY = {}
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,12 @@ class AffineMap3:
 
     @classmethod
     def identity(cls, mode: str) -> "AffineMap3":
-        o, z = one(mode), zero(mode)
-        return cls(((o, z, z), (z, o, z), (z, z, o)), (z, z, z), mode)
+        """The identity map of the mode, one shared object per mode."""
+        if mode not in _IDENTITY:
+            o, z = one(mode), zero(mode)
+            _IDENTITY[mode] = cls(((o, z, z), (z, o, z), (z, z, o)),
+                                  (z, z, z), mode)
+        return _IDENTITY[mode]
 
     @cached_property
     def inv_linear(self):
@@ -215,77 +221,81 @@ class SurfaceModel:
         )
 
 
-def _normal_form_terms(mode: str) -> dict:
-    """The coefficients of degree <= 2 of a jet in normal form: those of
+def _quadratic_parts(mode: str) -> list:
+    """The parts of degree <= 2 of a jet in normal form: those of
     (x^2 + y^2)/2."""
-    half = coerce(1, mode) / 2
-    z = zero(mode)
-    return {(0, 0): z, (1, 0): z, (0, 1): z,
-            (2, 0): half, (1, 1): z, (0, 2): half}
+    half, z = one(mode) / 2, zero(mode)
+    return [[z], [z, z], [half, z, half]]
 
 
-def _form_tolerance(jet: Jet2):
-    """The largest residual a jet in normal form may carry: none on
-    Fractions, and on floats :data:`_FORM_TOL` times the jet's scale,
+def _form_tolerance(parts, mode: str):
+    """The largest residual that parts in normal form may carry: none
+    on Fractions, and on floats :data:`_FORM_TOL` times their scale,
     since round-off grows with the coefficients."""
-    if jet.mode == RATIONAL:
+    if mode == RATIONAL:
         return 0
-    return _FORM_TOL * max(jet.max_abs(), 1.0)
+    return _FORM_TOL * max(
+        max((abs(c) for part in parts for c in part if c), default=0.0), 1.0)
 
 
-def _apolarity_pair(jet: Jet2) -> tuple:
-    """(3 f30 + f12, 3 f03 + f21), zero exactly when the cubic part of
-    the jet is apolar."""
-    return (3 * jet.coefficient(3, 0) + jet.coefficient(1, 2),
-            3 * jet.coefficient(0, 3) + jet.coefficient(2, 1))
+def _apolarity_pair(cubic) -> tuple:
+    """(3 f30 + f12, 3 f03 + f21) of the cubic part (f03, f12, f21, f30),
+    zero exactly when it is apolar."""
+    return 3 * cubic[3] + cubic[1], 3 * cubic[0] + cubic[2]
 
 
 @dataclass(frozen=True)
 class BlaschkeFrame:
-    """Normalized order-5 jet plus the world bookkeeping map.
+    """Normalized order-5 jet, as its homogeneous parts of degree 0 to 5
+    (see :func:`_product`), plus the world map, whose mode is the frame's.
 
-    Invariants: the jet has no constant or linear part, quadratic part
-    exactly (x^2 + y^2)/2, and the cubic part is apolar, i.e.
-    3*f30 + f12 = 0 and 3*f03 + f21 = 0 (exact in rational mode).  The
-    coefficients a, b, f4 and f5 are read from the jet on first use.
+    Invariants: no constant or linear part, quadratic part exactly
+    (x^2 + y^2)/2, and the cubic part is apolar, i.e. 3*f30 + f12 = 0
+    and 3*f03 + f21 = 0 (exact in rational mode).
     """
 
-    normalized: Jet2
+    parts: tuple
     world_from_local: AffineMap3
 
     def __post_init__(self):
-        jet = self.normalized
-        if jet.order != 5:
+        parts = tuple(tuple(part) for part in self.parts)
+        if [len(part) for part in parts] != [1, 2, 3, 4, 5, 6]:
             raise ValueError("frame jet must have order 5")
-        tol = _form_tolerance(jet)
-        for e, want in _normal_form_terms(jet.mode).items():
-            if abs(jet.coefficient(*e) - want) > tol:
+        object.__setattr__(self, "parts", parts)
+        tol = _form_tolerance(parts, self.mode)
+        for part, want in zip(parts, _quadratic_parts(self.mode)):
+            if any(abs(c - w) > tol for c, w in zip(part, want)):
                 raise ValueError("jet is not in normal form")
-        ap1, ap2 = _apolarity_pair(jet)
+        ap1, ap2 = _apolarity_pair(parts[3])
         if abs(ap1) > tol or abs(ap2) > tol:
             raise ValueError(f"apolarity residual too large: {ap1}, {ap2}")
 
     @property
     def mode(self) -> str:
-        return self.normalized.mode
+        return self.world_from_local.mode
+
+    @cached_property
+    def normalized(self) -> Jet2:
+        """The parts as one order-5 jet."""
+        return Jet2(5, self.mode, [c for part in self.parts for c in part])
 
     @cached_property
     def a(self):
-        return self.normalized.coefficient(3, 0)
+        return self.parts[3][3]
 
     @cached_property
     def b(self):
-        return self.normalized.coefficient(0, 3)
+        return self.parts[3][0]
 
     @cached_property
     def f4(self) -> tuple:
         """(f40, f31, f22, f13, f04)."""
-        return tuple(self.normalized.coefficient(4 - i, i) for i in range(5))
+        return self.parts[4][::-1]
 
     @cached_property
     def f5(self) -> tuple:
         """(f50, f41, f32, f23, f14, f05)."""
-        return tuple(self.normalized.coefficient(5 - i, i) for i in range(6))
+        return self.parts[5][::-1]
 
     @property
     def f50(self):
@@ -293,7 +303,7 @@ class BlaschkeFrame:
 
     @property
     def apolarity_residuals(self):
-        return _apolarity_pair(self.normalized)
+        return _apolarity_pair(self.parts[3])
 
     def cubic_value(self, xi, eta):
         """The cubic form along a tangent direction."""
@@ -312,14 +322,14 @@ def frame_from_coefficients(a, b, f4=(0, 0, 0, 0, 0), f5=(0, 0, 0, 0, 0, 0),
     ``normalize_at`` (the Hessian square root leaves Q).
     """
     check_mode(mode)
-    a = coerce(a, mode)
-    b = coerce(b, mode)
-    terms = _normal_form_terms(mode)
-    terms.update({(3, 0): a, (1, 2): -3 * a, (0, 3): b, (2, 1): -3 * b})
-    for k, row in ((4, f4), (5, f5)):
-        terms.update(((k - i, i), c) for i, c in enumerate(row) if c)
-    return BlaschkeFrame(Jet2.from_terms(terms, 5, mode),
-                         AffineMap3.identity(mode))
+    z = zero(mode)
+    a, b = coerce(a, mode), coerce(b, mode)
+    f4, f5 = ([coerce(c, mode) if c else z for c in row[::-1]]
+              for row in (f4, f5))
+    # a zero coefficient, -0.0 included, is stored as z
+    parts = _quadratic_parts(mode) + [
+        [c or z for c in part] for part in ([b, -3 * a, -3 * b, a], f4, f5)]
+    return BlaschkeFrame(parts, AffineMap3.identity(mode))
 
 
 def _not_positive_definite(h00, h01, h11) -> bool:
@@ -375,11 +385,6 @@ def graded_parts(jet: Jet2) -> list:
                             for d in range(2, 6)]
 
 
-def _jet_of_parts(parts, mode: str) -> Jet2:
-    """The order-5 jet whose homogeneous parts are ``parts``."""
-    return Jet2(5, mode, [c for part in parts for c in part])
-
-
 def substitute_parts(parts, lin, shear=None) -> list:
     """The homogeneous parts of g = h(X, Y), degree by degree, for the
     parts of h (none below degree 2) and the linear forms ``lin``.  With
@@ -412,29 +417,22 @@ def substitute_parts(parts, lin, shear=None) -> list:
     return g
 
 
-def _snap_normal_form(jet: Jet2) -> Jet2:
-    """Replace the (numerically tiny) low-order residue with exact values.
-
-    A jet with an inf or NaN coefficient overflowed, and has no residue
-    to judge: ValueError."""
-    if not all(map(math.isfinite, jet.coeffs)):
+def _snap_normal_form(parts) -> list:
+    """Float parts with their (numerically tiny) residue below degree 3
+    set to the normal form, and -0.0 above it to 0.0.  A nonzero residue
+    term beyond :func:`_form_tolerance` is a :class:`NonConvexPointError`;
+    parts with an inf or NaN coefficient overflowed: ValueError."""
+    if not all(math.isfinite(c) for part in parts for c in part):
         raise ValueError("float overflow: a jet coefficient is inf or NaN")
-    mode = jet.mode
-    tol = _form_tolerance(jet)
-    wanted = _normal_form_terms(mode)
-    terms = {}
-    for e, c in jet.terms():
-        if e in wanted:
-            if abs(float(c) - float(wanted[e])) > tol:
+    tol = _form_tolerance(parts, FLOAT)
+    low = _quadratic_parts(FLOAT)
+    for d, want in enumerate(low):
+        for t, (c, w) in enumerate(zip(parts[d], want)):
+            if c and abs(c - w) > tol:
                 raise NonConvexPointError(
-                    f"normalization failed to reach normal form at {e}: {c}"
-                )
-            continue
-        terms[e] = c
-    for e, w in wanted.items():
-        if w:
-            terms[e] = w
-    return Jet2.from_terms(terms, jet.order, mode)
+                    f"normalization failed to reach normal form at "
+                    f"{(t, d - t)}: {c}")
+    return low + [[c or 0.0 for c in part] for part in parts[3:]]
 
 
 def normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
@@ -478,19 +476,17 @@ def _normalize_at(surface: SurfaceModel, p0) -> BlaschkeFrame:
     if e:
         parts = [[math.ldexp(c, d * e) for c in part]
                  for d, part in enumerate(parts)]
-    alpha, beta = (-r / 2 for r in _apolarity_pair(
-        _jet_of_parts(parts, mode)))
+    alpha, beta = (-r / 2 for r in _apolarity_pair(parts[3]))
     parts = substitute_parts(parts, ([z, o], [o, z]), (alpha, beta))
-    h = _jet_of_parts(parts, mode)
     if mode == FLOAT:
-        h = _snap_normal_form(h)
+        parts = _snap_normal_form(parts)
     world_from_local = AffineMap3(
         ((o, z, z), (z, o, z), (gu, gv, o)), (p0[0], p0[1], c0), mode
     ).compose(AffineMap3(
         ((s00, s01, z), (s01, s11, z), (z, z, o)), (z, z, z), mode
     )).compose(AffineMap3(
         ((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z), mode))
-    return BlaschkeFrame(h, world_from_local)
+    return BlaschkeFrame(parts, world_from_local)
 
 
 def rotate_frame(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
@@ -508,8 +504,7 @@ def rotate_frame(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
     c, s = (coerce(t, mode) for t in cos_sin)
     if mode == RATIONAL and c * c + s * s != 1:
         raise ValueError("cos_sin pair is not on the unit circle")
-    rotated = _jet_of_parts(substitute_parts(
-        graded_parts(frame.normalized), ([s, c], [c, -s])), mode)
+    rotated = substitute_parts(frame.parts, ([s, c], [c, -s]))
     if mode == FLOAT:
         rotated = _snap_normal_form(rotated)
     return BlaschkeFrame(rotated,
@@ -601,16 +596,13 @@ def to_float_frame(frame: BlaschkeFrame) -> BlaschkeFrame:
         return frame
     m = frame.world_from_local
     try:
-        wfl = AffineMap3(
-            tuple(tuple(float(c) for c in row) for row in m.linear),
-            tuple(float(c) for c in m.translation),
-            FLOAT,
-        )
-        normalized = frame.normalized.to_float()
+        wfl = AffineMap3([[float(c) for c in row] for row in m.linear],
+                         [float(c) for c in m.translation], FLOAT)
+        parts = [[float(c) for c in part] for part in frame.parts]
     except OverflowError as exc:
         raise NormalizationError(
             f"frame has no float copy: {exc}") from None
-    return BlaschkeFrame(normalized, wfl)
+    return BlaschkeFrame(parts, wfl)
 
 
 def random_frame(rng: random.Random, mode: str = RATIONAL,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .errors import DegenerateConeError
 from .frames import (
     BlaschkeFrame,
-    graded_parts,
     rotate_to,
     substitute_parts,
     turned_coefficients,
@@ -44,8 +43,8 @@ def section_projection(frame: BlaschkeFrame, lam) -> SectionJet:
     """
     mode = frame.mode
     z = zero(mode)
-    g = substitute_parts(graded_parts(frame.normalized),
-                         ([z, one(mode)], [z, z]), (z, coerce(lam, mode)))
+    g = substitute_parts(frame.parts, ([z, one(mode)], [z, z]),
+                         (z, coerce(lam, mode)))
     return SectionJet(
         a3=6 * g[3][3],
         a4=24 * g[4][4],

@@ -113,13 +113,29 @@ def _pair_variables(mode):
 
 @lru_cache(maxsize=None)
 def _pair_monomials(mode):
-    """(su, sv) and the cubics (du^3, du^2 dv, du dv^2, dv^3) of the pair
-    chart, where d = p1 - p2 and s = p1 + p2: frame-independent, so
-    built once per mode."""
+    """The cubics (du^3, du^2 dv, du dv^2, dv^3) of the pair chart, and
+    the cubics times su, then times sv, where d = p1 - p2 and
+    s = p1 + p2: frame-independent, so built once per mode."""
     u1, v1, u2, v2 = _pair_variables(mode)
     du, dv = u1 - u2, v1 - v2
     du2, dv2 = du * du, dv * dv
-    return (u1 + u2, v1 + v2), (du * du2, du2 * dv, du * dv2, dv * dv2)
+    cubics = (du * du2, du2 * dv, du * dv2, dv * dv2)
+    return cubics, tuple(m * s for s in (u1 + u2, v1 + v2) for m in cubics)
+
+
+def _forms_jet(forms, monomials) -> LinearFormJet:
+    """The sum over ``forms`` of each form's cubics with the next four
+    ``monomials`` put for (xi^3, xi^2 eta, xi eta^2, eta^3), as Jet4
+    tables; a zero coefficient adds nothing."""
+    mode = forms[0].mode
+
+    def combined(field):
+        coeffs = [c for form in forms for c in getattr(form, field)]
+        return sum((m.scaled(c) for c, m in zip(coeffs, monomials) if c),
+                   Jet4.zero(_ORDER, mode))
+
+    return LinearFormJet(cx=combined("coeff_x"), cy=combined("coeff_y"),
+                         cz=combined("coeff_z"), c1=-combined("coeff_0"))
 
 
 def expand_mid_plane(frame: BlaschkeFrame) -> LinearFormJet:
@@ -183,18 +199,7 @@ class DirectionalForm:
 
     def as_jet(self) -> LinearFormJet:
         """The form on the pair difference (du, dv), as Jet4 tables."""
-        _, monomials = _pair_monomials(self.mode)
-
-        def cubic(coeffs):
-            m0, m1, m2, m3 = (m.scaled(c) for m, c in zip(monomials, coeffs))
-            return m0 + m1 + m2 + m3
-
-        return LinearFormJet(
-            cx=cubic(self.coeff_x),
-            cy=cubic(self.coeff_y),
-            cz=cubic(self.coeff_z),
-            c1=-cubic(self.coeff_0),
-        )
+        return _forms_jet((self,), _pair_monomials(self.mode)[0])
 
 
 def transon_form(frame: BlaschkeFrame) -> DirectionalForm:
@@ -276,14 +281,8 @@ def check_quartic_term(frame: BlaschkeFrame,
                        expansion: LinearFormJet) -> ExpansionReport:
     """The degree-4 part of the frame's mid-plane ``expansion`` equals
     form_u(du, dv, X) * (u1+u2) + form_v(du, dv, X) * (v1+v2)."""
-    (su, sv), _ = _pair_monomials(frame.mode)
-    ju, jv = (form.as_jet() for form in pair_sum_forms(frame))
-    predicted = LinearFormJet(
-        cx=ju.cx * su + jv.cx * sv,
-        cy=ju.cy * su + jv.cy * sv,
-        cz=ju.cz * su + jv.cz * sv,
-        c1=ju.c1 * su + jv.c1 * sv,
-    )
+    predicted = _forms_jet(pair_sum_forms(frame),
+                           _pair_monomials(frame.mode)[1])
     return _residual_report(expansion - predicted, (4,))
 
 

@@ -35,6 +35,7 @@ from aek.frames import (
     _apolarity_pair,
     _snap_normal_form,
     _sym_inv_sqrt2,
+    graded_parts,
     to_float_frame,
 )
 from aek.geometry import (
@@ -531,10 +532,10 @@ def normalize_by_substitution(surface: SurfaceModel, p0) -> BlaschkeFrame:
     yj = Jet2.variable("y", 5, mode)
     h = substitute(h, (xj.scaled(s00) + yj.scaled(s01),
                        xj.scaled(s01) + yj.scaled(s11)))
-    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
-    h = graph_shear(h, alpha, beta)
+    alpha, beta = (-r / 2 for r in _apolarity_pair(graded_parts(h)[3]))
+    parts = graded_parts(graph_shear(h, alpha, beta))
     if mode == FLOAT:
-        h = _snap_normal_form(h)
+        parts = _snap_normal_form(parts)
     o, z = one(mode), zero(mode)
     world = AffineMap3(((o, z, z), (z, o, z), (gu, gv, o)),
                        (p0[0], p0[1], c0), mode).compose(
@@ -542,7 +543,7 @@ def normalize_by_substitution(surface: SurfaceModel, p0) -> BlaschkeFrame:
                    mode)).compose(
         AffineMap3(((o, z, alpha), (z, o, beta), (z, z, o)), (z, z, z),
                    mode))
-    return BlaschkeFrame(h, world)
+    return BlaschkeFrame(parts, world)
 
 
 def rotate_by_substitution(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
@@ -552,8 +553,9 @@ def rotate_by_substitution(frame: BlaschkeFrame, cos_sin) -> BlaschkeFrame:
     c, s = (coerce(t, mode) for t in cos_sin)
     xj = Jet2.variable("x", 5, mode)
     yj = Jet2.variable("y", 5, mode)
-    rotated = substitute(frame.normalized, (xj.scaled(c) + yj.scaled(s),
-                                            xj.scaled(-s) + yj.scaled(c)))
+    rotated = graded_parts(substitute(
+        frame.normalized, (xj.scaled(c) + yj.scaled(s),
+                           xj.scaled(-s) + yj.scaled(c))))
     if mode == FLOAT:
         rotated = _snap_normal_form(rotated)
     o, z = one(mode), zero(mode)

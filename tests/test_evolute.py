@@ -499,8 +499,7 @@ def _sheared_frame():
     fr = frame_from_coefficients(1, 0, f4=(Fraction(5, 2), 0, 0, 0, 0))
     m = [[Fraction(c) for c in row] for row in
          ((2, 1, Fraction(1, 3)), (0, 1, -1), (1, 0, 3))]
-    return BlaschkeFrame(fr.normalized,
-                         AffineMap3(m, (1, 2, 3), RATIONAL))
+    return BlaschkeFrame(fr.parts, AffineMap3(m, (1, 2, 3), RATIONAL))
 
 
 @pytest.mark.parametrize("make_frame, theta", [

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +20,10 @@ from aek.frames import (
     BlaschkeFrame,
     SurfaceModel,
     _apolarity_pair,
+    _snap_normal_form,
     _sym_inv_sqrt2,
     frame_from_coefficients,
+    graded_parts,
     normalize_at,
     pull_back,
     pull_back_direction,
@@ -100,20 +103,90 @@ def test_float_normal_form_tolerance_scales_with_the_jet():
     an overflow."""
     fr = frame_from_coefficients(1e100, 0.0, mode=FLOAT)
 
-    def frame_with(e, value):
-        terms = dict(fr.normalized.terms())
-        terms[e] = value
-        return BlaschkeFrame(Jet2.from_terms(terms, 5, FLOAT),
-                             fr.world_from_local)
+    def frame_with_f12(value):
+        parts = [list(part) for part in fr.parts]
+        parts[3][1] = value
+        return BlaschkeFrame(parts, fr.world_from_local)
 
-    rounded = frame_with((1, 2), math.nextafter(-3e100, 0.0))
+    rounded = frame_with_f12(math.nextafter(-3e100, 0.0))
     assert rounded.apolarity_residuals[0] > 1e80
     with pytest.raises(ValueError, match="apolarity residual"):
-        frame_with((1, 2), -3e100 + 3 * _FORM_TOL * 3e100)
+        frame_with_f12(-3e100 + 3 * _FORM_TOL * 3e100)
     huge = surface({(2, 0): 0.5, (0, 2): 0.5, (3, 0): 1e160, (4, 0): 1e300,
                     (0, 4): 1e300}, mode=FLOAT)
     with pytest.raises(NormalizationError, match="float overflow"):
         normalize_at(huge, (0.0, 0.0))
+
+
+def test_frame_holds_its_parts_and_checks_them():
+    """A frame is built from its homogeneous parts of degree 0 to 5,
+    takes its mode from the world map, and refuses parts of the wrong
+    length, a quadratic off (x^2 + y^2)/2 and an apolarity residual
+    beyond the tolerance; its jet is the parts flattened."""
+    fr = frame_from_coefficients(Fraction(1, 3), Fraction(-2, 7),
+                                 f4=(1, 2, 3, 4, 5), f5=(6, 7, 8, 9, 10, 11))
+    half = Fraction(1, 2)
+    assert fr.parts == ((0,), (0, 0), (half, 0, half),
+                        (Fraction(-2, 7), -1, Fraction(6, 7), Fraction(1, 3)),
+                        (5, 4, 3, 2, 1), (11, 10, 9, 8, 7, 6))
+    assert (fr.a, fr.b, fr.f4, fr.f5) == (
+        Fraction(1, 3), Fraction(-2, 7), (1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))
+    assert fr.mode == RATIONAL
+    assert fr.normalized == Jet2(5, RATIONAL,
+                                 [c for part in fr.parts for c in part])
+    world = fr.world_from_local
+
+    def with_entry(frame, d, t, value):
+        parts = [list(part) for part in frame.parts]
+        parts[d][t] = value
+        return parts
+
+    assert BlaschkeFrame([list(part) for part in fr.parts], world) == fr
+    for parts in (fr.parts[:5], fr.parts + ((0,) * 7,),
+                  (*fr.parts[:4], fr.parts[4][:4], fr.parts[5])):
+        with pytest.raises(ValueError, match="^frame jet must have order 5$"):
+            BlaschkeFrame(parts, world)
+    with pytest.raises(ValueError, match="^jet is not in normal form$"):
+        BlaschkeFrame(with_entry(fr, 2, 1, Fraction(1, 10**30)), world)
+    with pytest.raises(ValueError,
+                       match="^apolarity residual too large: 1, 0$"):
+        BlaschkeFrame(with_entry(fr, 3, 1, 0), world)
+    # on floats the tolerance scales with the largest coefficient, 11
+    ff = to_float_frame(fr)
+    assert ff.mode == FLOAT and ff.normalized == fr.normalized.to_float()
+    BlaschkeFrame(with_entry(ff, 2, 2, 0.5 + _FORM_TOL * 5),
+                  ff.world_from_local)
+    with pytest.raises(ValueError, match="^jet is not in normal form$"):
+        BlaschkeFrame(with_entry(ff, 2, 2, 0.5 + _FORM_TOL * 12),
+                      ff.world_from_local)
+
+
+def test_snap_judges_nonzero_low_terms_and_clears_signed_zeros():
+    """The float snap sets the parts below degree 3 to (x^2 + y^2)/2.  It
+    judges only their nonzero terms, against the scaled tolerance, and
+    names the first one off by its exponent; parts with an inf or NaN
+    are an overflow, and a -0.0 kept above degree 2 becomes 0.0."""
+    cubic = [-0.0, 3.0, 0.0, -1.0]
+    parts = [[0.0], [0.0, -0.0], [0.0, 1e-9, 0.5], cubic,
+             [0.0] * 5, [-0.0] * 6]
+    snapped = _snap_normal_form(parts)
+    assert snapped[:3] == [[0.0], [0.0, 0.0], [0.5, 0.0, 0.5]]
+    assert snapped[3] == cubic
+    assert all(math.copysign(1.0, c) == 1.0
+               for part in snapped for c in part if not c)
+    with pytest.raises(NonConvexPointError, match=re.escape(
+            "normalization failed to reach normal form at (1, 0): 0.001")):
+        _snap_normal_form([[0.0], [0.0, 1e-3], *parts[2:]])
+    with pytest.raises(NonConvexPointError, match=re.escape(
+            "normalization failed to reach normal form at (0, 1): 0.002")):
+        _snap_normal_form([[0.0], [2e-3, 1e-3], *parts[2:]])
+    # the tolerance scales with the largest coefficient, here 1e10
+    _snap_normal_form([[0.0], [0.0, 99.0], parts[2], [1e10, 0.0, 0.0, 0.0],
+                       *parts[4:]])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                "float overflow: a jet coefficient is inf or NaN")):
+            _snap_normal_form([*parts[:5], [bad] + [0.0] * 5])
 
 
 def test_graph_shear_is_an_exact_fixed_point():
@@ -291,7 +364,7 @@ def test_hessian_step_keeps_a_tiny_cubic():
     xj = Jet2.variable("x", 5, RATIONAL)
     yj = Jet2.variable("y", 5, RATIONAL)
     h = substitute(h, (xj.scaled(Fraction(s00)), yj.scaled(Fraction(s11))))
-    alpha, beta = (-r / 2 for r in _apolarity_pair(h))
+    alpha, beta = (-r / 2 for r in _apolarity_pair(graded_parts(h)[3]))
     exact = graph_shear(h, alpha, beta)
     cubic = Fraction(shifted.coefficient(3, 0)) * Fraction(s00) ** 3 / 4
     for got, want in ((fr.a, cubic), (fr.a, exact.coefficient(3, 0)),
